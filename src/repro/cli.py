@@ -653,7 +653,10 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
             return 2
         started = time.perf_counter_ns()
         buf = epoch.to_buffer(include_psl=not args.no_psl)
-        encode_ms = (time.perf_counter_ns() - started) / 1e6
+        encode_ns = time.perf_counter_ns() - started
+        if args.no_psl:  # the buffer the compile already encoded
+            encode_ns += epoch.encode_ns
+        encode_ms = encode_ns / 1e6
         with open(args.out, "wb") as handle:
             handle.write(buf)
         print(f"encoded {args.profile if args.domains is None else args.domains} "

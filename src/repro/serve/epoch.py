@@ -1,14 +1,21 @@
 """Immutable serving epochs: one compiled, versioned unit of truth.
 
 An :class:`Epoch` bundles everything a reader needs to answer
-membership questions — the compiled :class:`MembershipIndex`, the
-:class:`ListSnapshot` it was compiled from, and the PSL handle the
-snapshot's domains were resolved against — into one value that is
-**constructed once and never mutated**.  Publication does not update
-an epoch; it builds a new one and swaps a single reference, so a
-reader that captured an epoch keeps a consistent
-(index, snapshot, version) triple for as long as it holds the
-reference, no matter how many publishes land mid-request.
+membership questions — the :class:`MembershipIndex` over the epoch's
+encoded buffer, the :class:`ListSnapshot` it was compiled from, and
+the PSL handle the snapshot's domains were resolved against — into
+one value that is **constructed once and never mutated**.
+Publication does not update an epoch; it builds a new one and swaps a
+single reference, so a reader that captured an epoch keeps a
+consistent (index, snapshot, version) triple for as long as it holds
+the reference, no matter how many publishes land mid-request.
+
+An epoch has one representation.  :meth:`Epoch.compile` encodes the
+snapshot into the binary epoch format (:mod:`repro.serve.epochfmt`,
+without the PSL trie) and serves the index view over that buffer;
+:meth:`Epoch.to_buffer` hands the same bytes back for shipping, and
+:meth:`Epoch.from_buffer` stands a shipped buffer up as the same
+index class in O(size).
 
 This is the unit the whole serving stack moves:
 
@@ -16,7 +23,7 @@ This is the unit the whole serving stack moves:
   and swaps it atomically on publish (the thin stateful shell);
 * :class:`~repro.cluster.Replica` catches up to the primary's epochs
   by applying :class:`~repro.serve.snapshot.SnapshotDelta` chains and
-  compiling its own;
+  compiling its own, or by loading the primary's buffer on resync;
 * :class:`~repro.browser.engine.Browser` adopts an epoch the way
   Chrome consumes a component-updater payload
   (:meth:`~repro.browser.engine.Browser.adopt_epoch`).
@@ -28,7 +35,8 @@ thinks it is, raising :class:`StaleSnapshotError` otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 from repro.psl import PublicSuffixList
 from repro.rws.model import RwsList
@@ -41,16 +49,19 @@ class Epoch:
     """One immutable, queryable generation of the served list.
 
     Attributes:
-        index: The compiled membership index over the snapshot's list.
+        index: The membership index over this epoch's encoded buffer.
         snapshot: The published snapshot this epoch serves (None only
             for the bootstrap epoch, before any publish).
         psl: The public suffix list the serving stack resolves hosts
             against; carried so an adopted epoch is self-contained.
+        encode_ns: Nanoseconds :meth:`compile` spent encoding the
+            buffer (0 for an epoch loaded from one).
     """
 
     index: MembershipIndex
     snapshot: ListSnapshot | None
     psl: PublicSuffixList
+    encode_ns: int = field(default=0, compare=False)
 
     @property
     def version(self) -> int:
@@ -91,18 +102,22 @@ class Epoch:
 
     @classmethod
     def compile(cls, snapshot: ListSnapshot, psl: PublicSuffixList) -> Epoch:
-        """Compile a fresh epoch from a published snapshot."""
-        return cls(index=MembershipIndex(snapshot.rws_list),
-                   snapshot=snapshot, psl=psl)
+        """Compile a fresh epoch: encode the snapshot, serve the view."""
+        started = time.perf_counter_ns()
+        index = MembershipIndex(snapshot.rws_list, snapshot=snapshot)
+        return cls(index=index, snapshot=snapshot, psl=psl,
+                   encode_ns=time.perf_counter_ns() - started)
 
     def to_buffer(self, *, include_psl: bool = True) -> bytes:
-        """Serialize this epoch to the zero-copy binary wire format.
+        """This epoch in the zero-copy binary wire format.
 
         The buffer loads back via :meth:`from_buffer` in O(size) with
         no per-entry object construction — see
         :mod:`repro.serve.epochfmt` for the layout.  ``include_psl``
         controls whether the compiled PSL trie is carried (drop it
-        when every consumer shares the same in-process PSL).
+        when every consumer shares the same in-process PSL); without
+        it, a compiled epoch returns the buffer its index already
+        serves, with no encode.
         """
         from repro.serve.epochfmt import encode_epoch
         return encode_epoch(self, include_psl=include_psl)
@@ -112,8 +127,8 @@ class Epoch:
                     verify: bool = True) -> Epoch:
         """Load an epoch from an encoded buffer in O(size).
 
-        The returned epoch's index is a lazy, array-backed view over
-        ``buf`` (which must outlive the epoch); ``psl`` overrides the
+        The returned epoch's index is a view over ``buf`` (which must
+        outlive the epoch); ``psl`` overrides the
         buffer-carried (or default) resolver.  ``verify=False`` skips
         the CRC for trusted in-process hand-offs.
 

@@ -1,12 +1,14 @@
-"""Zero-copy binary epoch format: O(size) load for instant spin-up.
+"""The binary epoch format: the one compiled form of a served list.
 
-Every sharded workload worker and every cluster :class:`Replica` used
-to recompile its own :class:`~repro.serve.index.MembershipIndex` (and,
-transitively, re-intern every domain string) from the snapshot.  This
-module defines a compact binary *epoch* format that is encoded once at
-publish time and loads in O(size) with **no per-entry Python object
-construction**: the loaded views answer ``query`` / ``related`` /
-batch probes directly off the buffer through ``memoryview`` casts.
+Every membership index in this repository is this format.
+:func:`encode_list` compiles a list into one buffer (once per publish,
+replica delta or bare-list index), and
+:class:`~repro.serve.index.MembershipIndex` answers ``query`` /
+``related`` / batch probes directly off that buffer through
+``memoryview`` casts.  The same bytes are the wire and disk form:
+shards and replicas stand an epoch up from a shipped buffer with
+:func:`load_epoch` in O(size), with **no per-entry Python object
+construction**, and :class:`EpochDiskCache` persists them.
 
 Wire layout (all integers little-endian; the loader refuses to run on
 big-endian hosts rather than silently mis-read)::
@@ -55,8 +57,8 @@ idx   name                contents
 ====  ==================  =====================================
 
 Flag bits: 0x1 = the buffer carries a compiled PSL trie; 0x2 = the
-buffer carries a list snapshot (a bootstrap epoch carries neither
-entries nor snapshot).
+header is stamped with a list snapshot (a bare-list index and the
+bootstrap epoch carry none).
 
 Design notes:
 
@@ -82,25 +84,26 @@ import struct
 import sys
 import zlib
 from array import array
+from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.psl.rules import Rule, RuleKind
 from repro.rws.model import RelatedWebsiteSet, RwsList, SiteRole
-from repro.serve.index import IndexEntry, QueryResult
 from repro.serve.snapshot import ListSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.psl.lookup import PublicSuffixList
     from repro.serve.epoch import Epoch
 
 __all__ = [
     "EPOCH_MAGIC",
     "EPOCH_FORMAT_VERSION",
-    "BufferIndex",
     "BufferSuffixTrie",
     "EpochDiskCache",
     "EpochFormatError",
     "encode_epoch",
+    "encode_list",
     "epoch_stat",
     "load_epoch",
 ]
@@ -111,60 +114,50 @@ EPOCH_FORMAT_VERSION = 1
 _FLAG_PSL = 0x1
 _FLAG_SNAPSHOT = 0x2
 
+#: The sections in wire order (the module docstring's table):
+#: (name, item bytes, header count, extra items).  A section with a
+#: header count holds exactly count + extra items; the rest are free.
+_SECTIONS = (
+    ("str_offsets", 4, "n_strings", 1),
+    ("str_blob", 1, None, 0),
+    ("str_hash", 4, "hash_cap", 0),
+    ("str_entry", 4, "n_strings", 0),
+    ("str_primary_set", 4, "n_strings", 0),
+    ("entry_site", 4, "n_entries", 0),
+    ("entry_primary", 4, "n_entries", 0),
+    ("entry_variant", 4, "n_entries", 0),
+    ("entry_role", 1, "n_entries", 0),
+    ("entry_set", 4, "n_entries", 0),
+    ("set_primary", 4, "n_sets", 0),
+    ("set_rec_start", 4, "n_sets", 1),
+    ("rec_site", 4, "n_records", 0),
+    ("rec_role", 1, "n_records", 0),
+    ("rec_variant", 4, "n_records", 0),
+    ("rule_flags", 1, "n_rules", 0),
+    ("rule_label_start", 4, "n_rules", 1),
+    ("rule_labels", 4, None, 0),
+    ("node_child_start", 4, "n_nodes", 1),
+    ("child_labels", 4, None, 0),
+    ("child_nodes", 4, None, 0),
+    ("node_star", 4, "n_nodes", 0),
+    ("node_normal", 4, "n_nodes", 0),
+    ("node_exc", 4, "n_nodes", 0),
+)
+
 _HEADER = struct.Struct("<4sHHI32sIIIIIIIIII")
-_N_SECTIONS = 24
-_SECTION_TABLE = struct.Struct("<" + "II" * _N_SECTIONS)
+_SECTION_TABLE = struct.Struct("<" + "II" * len(_SECTIONS))
 _DATA_START = _HEADER.size + _SECTION_TABLE.size
 _TRAILER = struct.Struct("<I")
 
-# Section indices (see module docstring for the layout table).
-_S_STR_OFFSETS = 0
-_S_STR_BLOB = 1
-_S_STR_HASH = 2
-_S_STR_ENTRY = 3
-_S_STR_SET = 4
-_S_ENTRY_SITE = 5
-_S_ENTRY_PRIMARY = 6
-_S_ENTRY_VARIANT = 7
-_S_ENTRY_ROLE = 8
-_S_ENTRY_SET = 9
-_S_SET_PRIMARY = 10
-_S_SET_REC_START = 11
-_S_REC_SITE = 12
-_S_REC_ROLE = 13
-_S_REC_VARIANT = 14
-_S_RULE_FLAGS = 15
-_S_RULE_LABEL_START = 16
-_S_RULE_LABELS = 17
-_S_NODE_CHILD_START = 18
-_S_CHILD_LABELS = 19
-_S_CHILD_NODES = 20
-_S_NODE_STAR = 21
-_S_NODE_EXC = 23
-_S_NODE_NORMAL = 22
-
-_SECTION_NAMES = (
-    "str_offsets", "str_blob", "str_hash", "str_entry", "str_primary_set",
-    "entry_site", "entry_primary", "entry_variant", "entry_role",
-    "entry_set", "set_primary", "set_rec_start", "rec_site", "rec_role",
-    "rec_variant", "rule_flags", "rule_label_start", "rule_labels",
-    "node_child_start", "child_labels", "child_nodes", "node_star",
-    "node_normal", "node_exc",
-)
-
-#: Sections holding u32 arrays (everything except the blob and u8 roles).
-_U8_SECTIONS = frozenset({_S_STR_BLOB, _S_ENTRY_ROLE, _S_REC_ROLE,
-                          _S_RULE_FLAGS})
-
 _ROLES: tuple[SiteRole, ...] = (SiteRole.PRIMARY, SiteRole.ASSOCIATED,
                                 SiteRole.SERVICE, SiteRole.CCTLD)
-_ROLE_CODES = {role: code for code, role in enumerate(_ROLES)}
 
 _RULE_KINDS: tuple[RuleKind, ...] = (RuleKind.NORMAL, RuleKind.WILDCARD,
                                      RuleKind.EXCEPTION)
 _RULE_KIND_CODES = {kind: code for code, kind in enumerate(_RULE_KINDS)}
 
-#: Bound on the per-index memo dicts before they are dropped wholesale.
+#: Bound on the string and PSL-label memo dicts before they are
+#: dropped wholesale (the string memo never outgrows the table).
 _MEMO_LIMIT = 1 << 20
 
 if array("I").itemsize != 4:  # pragma: no cover - exotic platforms only
@@ -202,235 +195,224 @@ def _require_little_endian() -> None:
 # Encoding
 
 
-class _StringTable:
-    """Assigns dense first-encounter ids to interned strings."""
+def _utf8(text: str) -> bytes:
+    # surrogatepass keeps every ``str`` encodable (a lone surrogate is
+    # then just another key); valid text encodes as plain UTF-8.
+    return text.encode("utf-8", "surrogatepass")
 
-    __slots__ = ("_ids", "strings")
 
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self.strings: list[str] = []
+def _trie_sections(rules: Sequence[Rule], add) -> list:
+    """The nine PSL trie sections (15 to 23) for ``rules``.
 
-    def add(self, text: str) -> int:
-        sid = self._ids.get(text)
+    Replays :class:`~repro.psl.rules.SuffixTrie` insertion over
+    temporary list-nodes ``[children: sid -> node, normal_seq+1,
+    exc_seq+1, star_node]``; ``add`` interns each label.
+    """
+    rule_flags = bytearray()
+    rule_label_start = array("I", [0])
+    rule_labels = array("I")
+    nodes: list[list] = [[{}, 0, 0, 0]]
+    for seq, rule in enumerate(rules):
+        rule_flags.append(_RULE_KIND_CODES[rule.kind]
+                          | (int(rule.is_private) << 2))
+        node = nodes[0]
+        for position, label in enumerate(rule.labels):
+            sid = add(label)
+            rule_labels.append(sid)
+            if label == "*" and position > 0:
+                child = node[3]
+                if child == 0:
+                    child = node[3] = len(nodes)
+                    nodes.append([{}, 0, 0, 0])
+            else:
+                child = node[0].get(sid, 0)
+                if child == 0:
+                    child = node[0][sid] = len(nodes)
+                    nodes.append([{}, 0, 0, 0])
+            node = nodes[child]
+        rule_label_start.append(len(rule_labels))
+        slot = 2 if rule.kind is RuleKind.EXCEPTION else 1
+        if node[slot] == 0:
+            node[slot] = seq + 1
+    node_child_start = array("I", [0])
+    child_labels = array("I")
+    child_nodes = array("I")
+    node_star = array("I")
+    node_normal = array("I")
+    node_exc = array("I")
+    for children, normal, exc, star in nodes:
+        for sid, child in sorted(children.items()):
+            child_labels.append(sid)
+            child_nodes.append(child)
+        node_child_start.append(len(child_labels))
+        node_normal.append(normal)
+        node_exc.append(exc)
+        node_star.append(star)
+    return [rule_flags, rule_label_start, rule_labels, node_child_start,
+            child_labels, child_nodes, node_star, node_normal, node_exc]
+
+
+def encode_list(rws_list: RwsList, *, snapshot: ListSnapshot | None = None,
+                psl: PublicSuffixList | None = None) -> bytes:
+    """Encode a list into one epoch buffer.
+
+    ``snapshot`` stamps the header with its version and content hash
+    (omit it for a bare list); ``psl`` adds that resolver's compiled
+    trie.  Encoding is O(list size) and runs once per compile: every
+    column is a u32 ``array``, the strings go into one blob, and the
+    sections are joined into the output in a single copy.
+    """
+    _require_little_endian()
+    ids: dict[str, int] = {}
+    strings: list[str] = []
+    str_entry = array("I")  # per string: entry_idx + 1 (0 = none)
+    str_primary_set = array("I")  # per string: set_idx + 1 if a primary
+
+    def add(text: str) -> int:
+        sid = ids.get(text)
         if sid is None:
-            sid = len(self.strings)
-            self._ids[text] = sid
-            self.strings.append(text)
+            sid = ids[text] = len(strings)
+            strings.append(text)
+            str_entry.append(0)
+            str_primary_set.append(0)
         return sid
 
-    def __len__(self) -> int:
-        return len(self.strings)
+    set_primary = array("I")
+    set_rec_start = array("I", [0])
+    rec_site = array("I")
+    rec_role = bytearray()
+    rec_variant = array("I")
+    entry_site = array("I")
+    entry_primary = array("I")
+    entry_variant = array("I")
+    entry_role = bytearray()
+    entry_set = array("I")
 
+    def record(sid: int, code: int, vid: int, pid: int, set_idx: int):
+        rec_site.append(sid)
+        rec_role.append(code)
+        rec_variant.append(vid)
+        if not str_entry[sid]:  # first set in list order wins
+            entry_site.append(sid)
+            str_entry[sid] = len(entry_site)
+            entry_primary.append(pid)
+            entry_variant.append(vid)
+            entry_role.append(code)
+            entry_set.append(set_idx)
 
-def _hash_capacity(count: int) -> int:
-    cap = 8
-    while cap < 2 * count:
-        cap <<= 1
-    return cap
+    # Records in RelatedWebsiteSet.member_records() order; role codes
+    # are indices into _ROLES.
+    for set_idx, rws_set in enumerate(rws_list.sets):
+        pid = add(rws_set.primary)
+        set_primary.append(pid)
+        if not str_primary_set[pid]:
+            str_primary_set[pid] = set_idx + 1
+        record(pid, 0, 0, pid, set_idx)
+        for site in rws_set.associated:
+            record(add(site), 1, 0, pid, set_idx)
+        for site in rws_set.service:
+            record(add(site), 2, 0, pid, set_idx)
+        for member, variants in rws_set.cctlds.items():
+            for site in variants:
+                sid = add(site)
+                record(sid, 3, add(member) + 1 if member else 0, pid,
+                       set_idx)
+        set_rec_start.append(len(rec_site))
 
+    list_version_id = add(rws_list.version) + 1
+    as_of_id = add(rws_list.as_of) + 1 if rws_list.as_of else 0
 
-def _build_string_sections(strings: Sequence[str]) -> tuple[bytes, bytes,
-                                                            bytes, int]:
-    """Return (offsets, blob, hash_table, hash_cap) for the string table."""
-    offsets = array("I", [0])
-    parts: list[bytes] = []
-    total = 0
-    encoded: list[bytes] = []
-    for text in strings:
-        raw = text.encode("utf-8")
-        encoded.append(raw)
-        parts.append(raw)
-        total += len(raw)
-        offsets.append(total)
-    cap = _hash_capacity(len(strings))
-    mask = cap - 1
-    table = array("I", bytes(4 * cap))
-    for sid, raw in enumerate(encoded):
-        slot = zlib.crc32(raw) & mask
-        while table[slot]:
+    n_rules = n_nodes = 0
+    if psl is not None:
+        psl_index = getattr(psl, "_index", None)
+        rules = list(psl_index) if psl_index is not None \
+            else list(psl._trie.rules())
+        n_rules = len(rules)
+        trie = _trie_sections(rules, add)
+        n_nodes = len(trie[6])  # node_star: one item per node
+    else:
+        trie = [b"", array("I", [0]), b"", array("I", [0]), b"", b"",
+                b"", b"", b""]
+
+    # Every string is interned now; dropping the intern table before the
+    # output is assembled keeps it out of the encoder's peak memory.
+    ids.clear()
+    joined = "".join(strings)
+    blob = _utf8(joined)
+    ascii_only = len(blob) == len(joined)
+    del joined
+    str_offsets = array("I", [0])
+    str_offsets.extend(accumulate(
+        map(len, strings) if ascii_only
+        else (len(_utf8(text)) for text in strings)))
+    n_strings = len(strings)
+    # The smallest power of two >= 2 * n_strings (at least 8).
+    hash_cap = max(8, 1 << (2 * n_strings - 1).bit_length())
+    mask = hash_cap - 1
+    str_hash = array("I", bytes(4 * hash_cap))
+    crc32 = zlib.crc32
+    for sid, text in enumerate(strings):
+        slot = crc32(_utf8(text)) & mask
+        while str_hash[slot]:
             slot = (slot + 1) & mask
-        table[slot] = sid + 1
-    return offsets.tobytes(), b"".join(parts), table.tobytes(), cap
+        str_hash[slot] = sid + 1
 
+    sections = [str_offsets, blob, str_hash, str_entry, str_primary_set,
+                entry_site, entry_primary, entry_variant, entry_role,
+                entry_set, set_primary, set_rec_start, rec_site, rec_role,
+                rec_variant, *trie]
+    fields: list[int] = []
+    parts: list = [b"", b""]  # header and section table, packed below
+    offset = _DATA_START
+    for section in sections:
+        size = len(section) * getattr(section, "itemsize", 1)
+        fields += (offset, size)
+        parts.append(section)
+        pad = -size % 4
+        if pad:
+            parts.append(bytes(pad))
+        offset += size + pad
 
-def _pad4(raw: bytes) -> bytes:
-    return raw + b"\x00" * (-len(raw) % 4)
+    flags = (_FLAG_PSL if psl is not None else 0) \
+        | (_FLAG_SNAPSHOT if snapshot is not None else 0)
+    parts[0] = _HEADER.pack(
+        EPOCH_MAGIC, EPOCH_FORMAT_VERSION, flags,
+        snapshot.version if snapshot is not None else 0,
+        bytes.fromhex(snapshot.content_hash) if snapshot is not None
+        else bytes(32),
+        list_version_id, as_of_id, n_strings, hash_cap, len(entry_site),
+        len(set_primary), len(rec_site), n_rules, n_nodes,
+        offset + _TRAILER.size)
+    parts[1] = _SECTION_TABLE.pack(*fields)
+    crc = 0
+    for part in parts:
+        crc = crc32(part, crc)
+    parts.append(_TRAILER.pack(crc))
+    return b"".join(parts)
 
 
 def encode_epoch(epoch: "Epoch", *, include_psl: bool = True) -> bytes:
     """Serialize an epoch to the binary wire format.
 
-    Encoding is O(list size) Python work — it runs once per publish;
-    only the *load* side needs to be allocation-free.  ``include_psl``
-    controls whether the compiled PSL trie rides along (drop it when
-    every consumer already holds the same PSL, e.g. intra-process
-    shard fan-out).
+    A compiled or bytes-loaded epoch already serves its PSL-free
+    buffer, so ``include_psl=False`` returns that buffer as is;
+    otherwise the epoch's list is encoded afresh, with the PSL trie
+    when ``include_psl`` (drop it when every consumer already holds
+    the same PSL, e.g. intra-process shard fan-out).
     """
-    _require_little_endian()
     snapshot = epoch.snapshot
+    data = epoch.index._data
+    if not include_psl and not data.has_psl \
+            and isinstance(data.source, bytes) \
+            and data.has_snapshot == (snapshot is not None) \
+            and data.snap_version == epoch.version:
+        return data.source
     if snapshot is None and len(epoch.index) > 0:
         raise ValueError("cannot encode an epoch with entries but no "
                          "snapshot: the wire format is list-derived")
-    rws_list = snapshot.rws_list if snapshot is not None else RwsList()
-
-    strings = _StringTable()
-    set_primary: list[int] = []
-    set_rec_start = array("I", [0])
-    rec_site: list[int] = []
-    rec_role = bytearray()
-    rec_variant: list[int] = []
-    entry_site: list[int] = []
-    entry_primary: list[int] = []
-    entry_variant: list[int] = []
-    entry_role = bytearray()
-    entry_set: list[int] = []
-    entry_of: dict[int, int] = {}
-    primary_set: dict[int, int] = {}
-
-    # Replays the MembershipIndex construction loop: first-wins entries,
-    # setdefault primary->set, records in member_records() order.
-    for set_idx, rws_set in enumerate(rws_list.sets):
-        pid = strings.add(rws_set.primary)
-        set_primary.append(pid)
-        primary_set.setdefault(pid, set_idx)
-        for record in rws_set.member_records():
-            sid = strings.add(record.site)
-            vid = strings.add(record.variant_of) + 1 if record.variant_of \
-                else 0
-            code = _ROLE_CODES[record.role]
-            rec_site.append(sid)
-            rec_role.append(code)
-            rec_variant.append(vid)
-            if sid not in entry_of:
-                entry_of[sid] = len(entry_site)
-                entry_site.append(sid)
-                entry_primary.append(pid)
-                entry_variant.append(vid)
-                entry_role.append(code)
-                entry_set.append(set_idx)
-        set_rec_start.append(len(rec_site))
-
-    list_version_id = strings.add(rws_list.version) + 1
-    as_of_id = strings.add(rws_list.as_of) + 1 if rws_list.as_of else 0
-
-    rule_flags = bytearray()
-    rule_label_start = array("I", [0])
-    rule_labels: list[int] = []
-    node_child_start = array("I", [0])
-    child_labels: list[int] = []
-    child_nodes: list[int] = []
-    node_star: list[int] = []
-    node_normal: list[int] = []
-    node_exc: list[int] = []
-    n_rules = n_nodes = 0
-    if include_psl:
-        psl_index = getattr(epoch.psl, "_index", None)
-        rules = list(psl_index) if psl_index is not None \
-            else list(epoch.psl._trie.rules())
-        n_rules = len(rules)
-        # Replay SuffixTrie.__init__ insertion over temp list-nodes
-        # [children: sid -> node_idx, normal_seq+1, exc_seq+1, star_idx].
-        nodes: list[list] = [[{}, 0, 0, 0]]
-        for seq, rule in enumerate(rules):
-            rule_flags.append(_RULE_KIND_CODES[rule.kind]
-                              | (int(rule.is_private) << 2))
-            node_idx = 0
-            for position, label in enumerate(rule.labels):
-                sid = strings.add(label)
-                rule_labels.append(sid)
-                node = nodes[node_idx]
-                if label == "*" and position > 0:
-                    child = node[3]
-                    if child == 0:
-                        nodes.append([{}, 0, 0, 0])
-                        child = len(nodes) - 1
-                        node[3] = child
-                else:
-                    child = node[0].get(sid, 0)
-                    if child == 0:
-                        nodes.append([{}, 0, 0, 0])
-                        child = len(nodes) - 1
-                        node[0][sid] = child
-                node_idx = child
-            rule_label_start.append(len(rule_labels))
-            slot = 2 if rule.kind is RuleKind.EXCEPTION else 1
-            if nodes[node_idx][slot] == 0:
-                nodes[node_idx][slot] = seq + 1
-        n_nodes = len(nodes)
-        for node in nodes:
-            for sid, child in sorted(node[0].items()):
-                child_labels.append(sid)
-                child_nodes.append(child)
-            node_child_start.append(len(child_labels))
-            node_normal.append(node[1])
-            node_exc.append(node[2])
-            node_star.append(node[3])
-
-    str_offsets, str_blob, str_hash, hash_cap = \
-        _build_string_sections(strings.strings)
-    n_strings = len(strings)
-    str_entry = array("I", bytes(4 * n_strings))
-    for sid, eidx in entry_of.items():
-        str_entry[sid] = eidx + 1
-    str_set = array("I", bytes(4 * n_strings))
-    for sid, set_idx in primary_set.items():
-        str_set[sid] = set_idx + 1
-
-    def u32(values: Iterable[int]) -> bytes:
-        return array("I", values).tobytes()
-
-    sections: list[bytes] = [b""] * _N_SECTIONS
-    sections[_S_STR_OFFSETS] = str_offsets
-    sections[_S_STR_BLOB] = bytes(str_blob)
-    sections[_S_STR_HASH] = str_hash
-    sections[_S_STR_ENTRY] = str_entry.tobytes()
-    sections[_S_STR_SET] = str_set.tobytes()
-    sections[_S_ENTRY_SITE] = u32(entry_site)
-    sections[_S_ENTRY_PRIMARY] = u32(entry_primary)
-    sections[_S_ENTRY_VARIANT] = u32(entry_variant)
-    sections[_S_ENTRY_ROLE] = bytes(entry_role)
-    sections[_S_ENTRY_SET] = u32(entry_set)
-    sections[_S_SET_PRIMARY] = u32(set_primary)
-    sections[_S_SET_REC_START] = set_rec_start.tobytes()
-    sections[_S_REC_SITE] = u32(rec_site)
-    sections[_S_REC_ROLE] = bytes(rec_role)
-    sections[_S_REC_VARIANT] = u32(rec_variant)
-    sections[_S_RULE_FLAGS] = bytes(rule_flags)
-    sections[_S_RULE_LABEL_START] = rule_label_start.tobytes()
-    sections[_S_RULE_LABELS] = u32(rule_labels)
-    sections[_S_NODE_CHILD_START] = node_child_start.tobytes()
-    sections[_S_CHILD_LABELS] = u32(child_labels)
-    sections[_S_CHILD_NODES] = u32(child_nodes)
-    sections[_S_NODE_STAR] = u32(node_star)
-    sections[_S_NODE_NORMAL] = u32(node_normal)
-    sections[_S_NODE_EXC] = u32(node_exc)
-
-    table: list[int] = []
-    offset = _DATA_START
-    padded: list[bytes] = []
-    for raw in sections:
-        table.extend((offset, len(raw)))
-        chunk = _pad4(raw)
-        padded.append(chunk)
-        offset += len(chunk)
-    total_len = offset + _TRAILER.size
-
-    flags = 0
-    if include_psl:
-        flags |= _FLAG_PSL
-    if snapshot is not None:
-        flags |= _FLAG_SNAPSHOT
-    content_hash = bytes.fromhex(snapshot.content_hash) if snapshot \
-        else b"\x00" * 32
-    header = _HEADER.pack(
-        EPOCH_MAGIC, EPOCH_FORMAT_VERSION, flags,
-        snapshot.version if snapshot is not None else 0,
-        content_hash, list_version_id, as_of_id,
-        n_strings, hash_cap, len(entry_site), len(set_primary),
-        len(rec_site), n_rules, n_nodes, total_len)
-    body = header + _SECTION_TABLE.pack(*table) + b"".join(padded)
-    return body + _TRAILER.pack(zlib.crc32(body))
+    return encode_list(snapshot.rws_list if snapshot is not None
+                       else RwsList(), snapshot=snapshot,
+                       psl=epoch.psl if include_psl else None)
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +423,16 @@ class _BufferData:
     """Validated header fields + per-section ``memoryview`` casts."""
 
     __slots__ = (
-        "buf", "flags", "snap_version", "content_hash_hex", "list_version",
-        "as_of", "n_strings", "hash_cap", "hash_mask", "n_entries",
-        "n_sets", "n_records", "n_rules", "n_nodes", "total_len",
-        "str_offsets", "str_blob", "str_hash", "str_entry", "str_set",
-        "entry_site", "entry_primary", "entry_variant", "entry_role",
-        "entry_set", "set_primary", "set_rec_start", "rec_site",
-        "rec_role", "rec_variant", "rule_flags", "rule_label_start",
-        "rule_labels", "node_child_start", "child_labels", "child_nodes",
-        "node_star", "node_normal", "node_exc", "_strings",
+        "source", "buf", "flags", "snap_version", "content_hash_hex",
+        "list_version", "as_of", "n_strings", "hash_cap", "hash_mask",
+        "n_entries", "n_sets", "n_records", "n_rules", "n_nodes",
+        "total_len", "_strings", "blob_src", "blob_base",
+        *(name for name, *_ in _SECTIONS),
     )
 
     def __init__(self, buf, *, verify: bool = True) -> None:
         _require_little_endian()
+        self.source = buf
         view = memoryview(buf)
         if view.ndim != 1 or view.itemsize != 1:
             view = view.cast("B")
@@ -501,59 +480,33 @@ class _BufferData:
                 f"string hash capacity {hash_cap} is not a power of two")
 
         table = _SECTION_TABLE.unpack_from(view, _HEADER.size)
-        expected_lengths = {
-            _S_STR_OFFSETS: 4 * (n_strings + 1),
-            _S_STR_HASH: 4 * hash_cap,
-            _S_STR_ENTRY: 4 * n_strings,
-            _S_STR_SET: 4 * n_strings,
-            _S_ENTRY_SITE: 4 * n_entries,
-            _S_ENTRY_PRIMARY: 4 * n_entries,
-            _S_ENTRY_VARIANT: 4 * n_entries,
-            _S_ENTRY_ROLE: n_entries,
-            _S_ENTRY_SET: 4 * n_entries,
-            _S_SET_PRIMARY: 4 * n_sets,
-            _S_SET_REC_START: 4 * (n_sets + 1),
-            _S_REC_SITE: 4 * n_records,
-            _S_REC_ROLE: n_records,
-            _S_REC_VARIANT: 4 * n_records,
-            _S_RULE_FLAGS: n_rules,
-            _S_RULE_LABEL_START: 4 * (n_rules + 1),
-            _S_NODE_CHILD_START: 4 * (n_nodes + 1),
-            _S_NODE_STAR: 4 * n_nodes,
-            _S_NODE_NORMAL: 4 * n_nodes,
-            _S_NODE_EXC: 4 * n_nodes,
-        }
-        views: list[memoryview] = []
         limit = size - _TRAILER.size
-        for idx in range(_N_SECTIONS):
+        for idx, (name, itemsize, count, extra) in enumerate(_SECTIONS):
             off, length = table[2 * idx], table[2 * idx + 1]
-            name = _SECTION_NAMES[idx]
             if off % 4 or off < _DATA_START or off + length > limit:
                 raise EpochFormatError(
                     f"section out of bounds (len={length})",
                     section=name, offset=off)
-            want = expected_lengths.get(idx)
-            if want is not None and length != want:
+            if count is not None:
+                want = itemsize * (getattr(self, count) + extra)
+                if length != want:
+                    raise EpochFormatError(
+                        f"section length {length} != expected {want}",
+                        section=name, offset=off)
+            elif length % itemsize:
                 raise EpochFormatError(
-                    f"section length {length} != expected {want}",
+                    f"u32 section length {length} not a multiple of 4",
                     section=name, offset=off)
             part = view[off:off + length]
-            if idx not in _U8_SECTIONS:
-                if length % 4:
-                    raise EpochFormatError(
-                        f"u32 section length {length} not a multiple of 4",
-                        section=name, offset=off)
-                part = part.cast("I")
-            views.append(part)
-
-        (self.str_offsets, self.str_blob, self.str_hash, self.str_entry,
-         self.str_set, self.entry_site, self.entry_primary,
-         self.entry_variant, self.entry_role, self.entry_set,
-         self.set_primary, self.set_rec_start, self.rec_site,
-         self.rec_role, self.rec_variant, self.rule_flags,
-         self.rule_label_start, self.rule_labels, self.node_child_start,
-         self.child_labels, self.child_nodes, self.node_star,
-         self.node_normal, self.node_exc) = views
+            setattr(self, name, part.cast("I") if itemsize == 4 else part)
+        # Key compares slice the source itself when that yields bytes
+        # (bytes, bytearray, mmap): half the cost of a memoryview slice.
+        if isinstance(buf, (bytes, bytearray, mmap.mmap)):
+            self.blob_src = buf
+            self.blob_base = table[2]  # str_blob is section 1
+        else:
+            self.blob_src = self.str_blob
+            self.blob_base = 0
 
         if n_strings and self.str_offsets[n_strings] != \
                 len(self.str_blob):
@@ -584,7 +537,7 @@ class _BufferData:
         if text is None:
             start = self.str_offsets[sid]
             end = self.str_offsets[sid + 1]
-            text = str(bytes(self.str_blob[start:end]), "utf-8")
+            text = str(self.str_blob[start:end], "utf-8", "surrogatepass")
             if len(self._strings) >= _MEMO_LIMIT:
                 self._strings.clear()
             self._strings[sid] = text
@@ -592,18 +545,22 @@ class _BufferData:
 
     def string_id(self, text: str) -> int:
         """Return the id of ``text`` in the table, or -1 if absent."""
-        raw = text.encode("utf-8")
+        try:
+            raw = text.encode()
+        except UnicodeEncodeError:  # a lone surrogate, encoded as listed
+            raw = _utf8(text)
         mask = self.hash_mask
         table = self.str_hash
         offsets = self.str_offsets
-        blob = self.str_blob
+        blob = self.blob_src
+        base = self.blob_base
         slot = zlib.crc32(raw) & mask
         while True:
             value = table[slot]
             if value == 0:
                 return -1
             sid = value - 1
-            if blob[offsets[sid]:offsets[sid + 1]] == raw:
+            if blob[base + offsets[sid]:base + offsets[sid + 1]] == raw:
                 return sid
             slot = (slot + 1) & mask
 
@@ -612,207 +569,33 @@ class _BufferData:
 # Buffer-backed views
 
 
-class BufferIndex:
-    """Array-backed :class:`MembershipIndex` view over an epoch buffer.
+def rebuild_set(data: _BufferData, set_idx: int) -> RelatedWebsiteSet:
+    """Reconstruct set ``set_idx`` from its member records.
 
-    Implements the full ``MembershipIndex`` query surface —
-    ``query`` / ``related`` / ``related_batch`` /
-    ``related_batch_normalized`` / ``lookup`` / ``set_for`` /
-    ``members_of`` / ``entries`` — with identical semantics, answering
-    membership probes via the buffer's string hash + u32 arrays.
-    Rich objects (:class:`IndexEntry`, :class:`RelatedWebsiteSet`) are
-    materialized lazily and memoized only where callers actually ask
-    for them.
+    Rationales and contacts are not carried by the wire format (they
+    are outside membership identity), so the reconstructed set has
+    empty ``rationales`` and ``contact=None``.
     """
-
-    __slots__ = ("_data", "_site_eidx", "_entry_objs", "_set_objs",
-                 "_set_count")
-
-    def __init__(self, data: _BufferData) -> None:
-        self._data = data
-        self._site_eidx: dict[str, int] = {}
-        self._entry_objs: dict[int, IndexEntry] = {}
-        self._set_objs: dict[int, RelatedWebsiteSet] = {}
-        self._set_count: int | None = None
-
-    # -- probing helpers
-
-    def _entry_index(self, site: str) -> int:
-        """Entry index for an already-lowercased site, -1 if absent."""
-        eidx = self._site_eidx.get(site)
-        if eidx is None:
-            data = self._data
-            sid = data.string_id(site)
-            eidx = data.str_entry[sid] - 1 if sid >= 0 else -1
-            if len(self._site_eidx) >= _MEMO_LIMIT:
-                self._site_eidx.clear()
-            self._site_eidx[site] = eidx
-        return eidx
-
-    def _entry(self, eidx: int) -> IndexEntry:
-        entry = self._entry_objs.get(eidx)
-        if entry is None:
-            data = self._data
-            vid = data.entry_variant[eidx]
-            entry = IndexEntry(
-                site=data.string(data.entry_site[eidx]),
-                role=_ROLES[data.entry_role[eidx]],
-                set_primary=data.string(data.entry_primary[eidx]),
-                variant_of=data.string(vid - 1) if vid else None)
-            self._entry_objs[eidx] = entry
-        return entry
-
-    def _set(self, set_idx: int) -> RelatedWebsiteSet:
-        """Reconstruct set ``set_idx`` from its member records.
-
-        Rationales and contacts are not carried by the wire format
-        (they are outside membership identity), so the reconstructed
-        set has empty ``rationales`` and ``contact=None``.
-        """
-        rws_set = self._set_objs.get(set_idx)
-        if rws_set is None:
-            data = self._data
-            primary = data.string(data.set_primary[set_idx])
-            associated: list[str] = []
-            service: list[str] = []
-            cctlds: dict[str, list[str]] = {}
-            start = data.set_rec_start[set_idx]
-            end = data.set_rec_start[set_idx + 1]
-            for ridx in range(start, end):
-                code = data.rec_role[ridx]
-                if code == 0:  # the set's own primary record
-                    continue
-                site = data.string(data.rec_site[ridx])
-                if code == 1:
-                    associated.append(site)
-                elif code == 2:
-                    service.append(site)
-                else:
-                    vid = data.rec_variant[ridx]
-                    variant = data.string(vid - 1) if vid else primary
-                    cctlds.setdefault(variant, []).append(site)
-            rws_set = RelatedWebsiteSet(primary=primary,
-                                        associated=associated,
-                                        service=service, cctlds=cctlds)
-            self._set_objs[set_idx] = rws_set
-        return rws_set
-
-    # -- MembershipIndex API
-
-    def __len__(self) -> int:
-        return self._data.n_entries
-
-    def __contains__(self, site: str) -> bool:
-        return self._entry_index(site.lower()) >= 0
-
-    @property
-    def set_count(self) -> int:
-        # Number of *distinct* primaries, matching
-        # len(MembershipIndex._sets_by_primary) even on degenerate
-        # lists where two sets share a primary.
-        count = self._set_count
-        if count is None:
-            str_set = self._data.str_set
-            count = sum(1 for sid in range(self._data.n_strings)
-                        if str_set[sid])
-            self._set_count = count
-        return count
-
-    @property
-    def site_count(self) -> int:
-        return self._data.n_entries
-
-    def lookup(self, site: str) -> IndexEntry | None:
-        eidx = self._entry_index(site.lower())
-        return self._entry(eidx) if eidx >= 0 else None
-
-    def role_of(self, site: str) -> SiteRole | None:
-        eidx = self._entry_index(site.lower())
-        return _ROLES[self._data.entry_role[eidx]] if eidx >= 0 else None
-
-    def set_for(self, site: str) -> RelatedWebsiteSet | None:
-        eidx = self._entry_index(site.lower())
-        return self._set(self._data.entry_set[eidx]) if eidx >= 0 else None
-
-    def primary_of(self, site: str) -> str | None:
-        eidx = self._entry_index(site.lower())
-        if eidx < 0:
-            return None
-        return self._data.string(self._data.entry_primary[eidx])
-
-    def members_of(self, primary: str) -> list[str] | None:
-        data = self._data
-        sid = data.string_id(primary.lower())
-        if sid < 0:
-            return None
-        set_plus = data.str_set[sid]
-        if set_plus == 0:
-            return None
-        return self._set(set_plus - 1).members()
-
-    def related(self, site_a: str, site_b: str) -> bool:
-        a = site_a.lower()
-        b = site_b.lower()
-        if a == b:
-            return True
-        ea = self._entry_index(a)
-        if ea < 0:
-            return False
-        eb = self._entry_index(b)
-        primary = self._data.entry_primary
-        return eb >= 0 and primary[ea] == primary[eb]
-
-    def query(self, site_a: str, site_b: str) -> QueryResult:
-        a = site_a.lower()
-        b = site_b.lower()
-        ea = self._entry_index(a)
-        eb = self._entry_index(b)
-        data = self._data
-        shared = None
-        if ea >= 0 and eb >= 0:
-            pa = data.entry_primary[ea]
-            if pa == data.entry_primary[eb]:
-                shared = data.string(pa)
-        return QueryResult(
-            site_a=a, site_b=b,
-            related=shared is not None or a == b,
-            set_primary=shared,
-            role_a=_ROLES[data.entry_role[ea]] if ea >= 0 else None,
-            role_b=_ROLES[data.entry_role[eb]] if eb >= 0 else None)
-
-    def related_batch(self, pairs) -> list[bool]:
-        return [self.related(a, b) for a, b in pairs]
-
-    def related_batch_normalized(self,
-                                 pairs: Sequence[tuple[str | None,
-                                                       str | None]]
-                                 ) -> list[bool]:
-        """Batch probe for pre-normalized pairs — no lowercasing."""
-        results: list[bool] = []
-        primary = self._data.entry_primary
-        entry_index = self._entry_index
-        for a, b in pairs:
-            if a is None or b is None:
-                results.append(False)
-                continue
-            if a == b:
-                results.append(True)
-                continue
-            ea = entry_index(a)
-            if ea < 0:
-                results.append(False)
-                continue
-            eb = entry_index(b)
-            results.append(eb >= 0 and primary[ea] == primary[eb])
-        return results
-
-    def query_stream(self, pairs) -> Iterator[QueryResult]:
-        for site_a, site_b in pairs:
-            yield self.query(site_a, site_b)
-
-    def entries(self) -> Iterator[IndexEntry]:
-        for eidx in range(self._data.n_entries):
-            yield self._entry(eidx)
+    primary = data.string(data.set_primary[set_idx])
+    associated: list[str] = []
+    service: list[str] = []
+    cctlds: dict[str, list[str]] = {}
+    for ridx in range(data.set_rec_start[set_idx],
+                      data.set_rec_start[set_idx + 1]):
+        code = data.rec_role[ridx]
+        if code == 0:  # the set's own primary record
+            continue
+        site = data.string(data.rec_site[ridx])
+        if code == 1:
+            associated.append(site)
+        elif code == 2:
+            service.append(site)
+        else:
+            vid = data.rec_variant[ridx]
+            variant = data.string(vid - 1) if vid else primary
+            cctlds.setdefault(variant, []).append(site)
+    return RelatedWebsiteSet(primary=primary, associated=associated,
+                             service=service, cctlds=cctlds)
 
 
 class _BufferRwsList(RwsList):
@@ -835,8 +618,7 @@ class _BufferRwsList(RwsList):
 
     def _materialize(self) -> list[RelatedWebsiteSet]:
         data = self._data
-        index = BufferIndex(data)
-        return [index._set(set_idx) for set_idx in range(data.n_sets)]
+        return [rebuild_set(data, set_idx) for set_idx in range(data.n_sets)]
 
     @property
     def sets(self) -> list[RelatedWebsiteSet]:
@@ -1029,9 +811,10 @@ def load_epoch(buf, *, psl=None, verify: bool = True) -> "Epoch":
     hot in-process hand-offs of trusted buffers.
     """
     from repro.serve.epoch import Epoch
+    from repro.serve.index import MembershipIndex
 
     data = _BufferData(buf, verify=verify)
-    index = BufferIndex(data)
+    index = MembershipIndex.view(data)
     if psl is None:
         if data.has_psl:
             from repro.psl.lookup import PublicSuffixList

@@ -643,10 +643,12 @@ class RwsService(EpochShell):
     def encoded_epoch(self, version: int | None = None) -> bytes | None:
         """The binary-encoded epoch for ``version`` (default: current).
 
-        Encodes at most once per version and caches the buffer, so N
-        resyncing replicas (or N fanned-out shards) cost one encode,
-        not N recompiles.  Buffers are encoded without the PSL trie —
-        every in-process consumer shares the service's resolver.
+        A compiled epoch already holds its PSL-free buffer, so the
+        current version costs no encode here; an older version still
+        in the store is compiled once.  Buffers are cached per version,
+        so N resyncing replicas (or N fanned-out shards) share one.
+        ``epoch_encodes`` / ``epoch_encode_ns`` count each buffer
+        handed out with the encode its compile spent on it.
 
         Returns ``None`` for versions the store no longer resolves
         (and for the pre-publish bootstrap epoch, which has no
@@ -672,7 +674,8 @@ class RwsService(EpochShell):
             started = time.perf_counter_ns()
             buf = source.to_buffer(include_psl=False)
             self._epoch_encodes += 1
-            self._epoch_encode_ns += time.perf_counter_ns() - started
+            self._epoch_encode_ns += (source.encode_ns
+                                      + time.perf_counter_ns() - started)
             self._encoded[version] = buf
             while len(self._encoded) > _ENCODED_CACHE_KEEP:
                 self._encoded.pop(min(self._encoded))
@@ -684,8 +687,8 @@ class RwsService(EpochShell):
     def adopt_encoded(self, buf) -> ListSnapshot:
         """Adopt a binary-encoded epoch as the serving epoch.
 
-        The O(size) spin-up path: the buffer's array-backed index view
-        is swapped in directly — no per-entry compile.  If the encoded
+        The O(size) spin-up path: the index view over the buffer is
+        swapped in directly — no per-entry compile.  If the encoded
         version extends this service's store by exactly one, the lazy
         snapshot is appended so subsequent deltas resolve; adopting a
         version already in the store just swaps the epoch.

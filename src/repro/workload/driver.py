@@ -133,12 +133,9 @@ class ShardTask:
             ``trace=True`` is refused: socket scheduling would make
             span streams non-deterministic.
         encoded: The profile's initial list as a binary-encoded epoch
-            (:mod:`repro.serve.epochfmt`).  When set, the shard's
-            service adopts the buffer in O(size) instead of building
-            the list and recompiling the index — the instant fan-out
-            path.  ``None`` restores the per-shard publish (the
-            reference for digest-equality tests).  Outcomes are
-            bit-identical either way.
+            (:mod:`repro.serve.epochfmt`).  The shard's service adopts
+            the buffer in O(size) instead of building the list and
+            compiling it — the instant fan-out path.
     """
 
     scenario: Scenario
@@ -147,9 +144,9 @@ class ShardTask:
     user_end: int
     total_users: int
     reference: bool
+    encoded: bytes
     trace: bool = False
     transport: str = "inproc"
-    encoded: bytes | None = None
 
 
 @dataclass
@@ -611,19 +608,13 @@ def run_shard(task: ShardTask) -> dict:
                          "socket scheduling would make span streams "
                          "non-deterministic")
     started = time.perf_counter()
-    build_v1, build_v2 = LIST_PROFILES[scenario.list_profile]
+    build_v2 = LIST_PROFILES[scenario.list_profile][1]
     service = RwsService(resolver_cache_size=scenario.resolver_cache_size)
-    if task.encoded is not None:
-        # O(size) spin-up: the shard serves the pre-encoded epoch's
-        # array-backed index directly — no list build, no per-entry
-        # index compile.  The lazy snapshot list materializes only if
-        # something walks it (the site universe below does; the
-        # serving hot path never would).
-        snapshot = service.adopt_encoded(task.encoded)
-        rws_list = snapshot.rws_list
-    else:
-        rws_list = build_v1()
-        service.publish(rws_list)
+    # O(size) spin-up: the shard serves the index over the pre-encoded
+    # epoch directly — no list build, no compile.  The lazy snapshot
+    # list materializes only if something walks it (the site universe
+    # below does; the serving hot path never would).
+    rws_list = service.adopt_encoded(task.encoded).rws_list
     router = None
     if scenario.chaos is not None and scenario.replicas <= 0:
         raise ValueError(f"chaos plan {scenario.chaos!r} requires "
@@ -849,18 +840,12 @@ def _merge(scenario: Scenario, users: int, shards: int, executor: str,
 
 def run_serial(scenario: Scenario | str, users: int, *,
                seed: int = 0, trace: bool = False,
-               transport: str = "inproc",
-               encoded_epoch: bool = True) -> WorkloadResult:
-    """The serial driver: one shard, full-fidelity execution.
-
-    ``encoded_epoch=False`` restores the per-shard list build +
-    publish (the compiled reference for digest-equality tests).
-    """
+               transport: str = "inproc") -> WorkloadResult:
+    """The serial driver: one shard, full-fidelity execution."""
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     started = time.perf_counter()
-    encoded = (_profile_buffer(scenario.list_profile)
-               if encoded_epoch else None)
+    encoded = _profile_buffer(scenario.list_profile)
     outcomes = []
     if users > 0:
         outcomes.append(run_shard(ShardTask(
@@ -875,9 +860,11 @@ def run_serial(scenario: Scenario | str, users: int, *,
 def run_sharded(scenario: Scenario | str, users: int, shards: int, *,
                 seed: int = 0, executor: str = "auto",
                 trace: bool = False,
-                transport: str = "inproc",
-                encoded_epoch: bool = True) -> WorkloadResult:
+                transport: str = "inproc") -> WorkloadResult:
     """The sharded executor: partition users, run shards, merge.
+
+    Every shard adopts the profile's binary-encoded epoch, encoded
+    once in the driver, instead of rebuilding the list.
 
     Args:
         scenario: Registry name or scenario object.
@@ -895,11 +882,6 @@ def run_sharded(scenario: Scenario | str, users: int, shards: int, *,
             :attr:`ShardTask.transport`.  Each shard gets its own
             loopback server/client pair, so process executors stay
             picklable (sockets are created inside the worker).
-        encoded_epoch: Hand every shard the profile's binary-encoded
-            epoch (encoded once in the driver) instead of having each
-            shard rebuild the list and recompile its index.  ``False``
-            restores the per-shard publish; outcomes are bit-identical
-            either way.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
@@ -907,8 +889,7 @@ def run_sharded(scenario: Scenario | str, users: int, shards: int, *,
         raise ValueError(f"shards must be >= 1, got {shards}")
     mode = _resolve_executor(executor, shards)
     started = time.perf_counter()
-    encoded = (_profile_buffer(scenario.list_profile)
-               if encoded_epoch else None)
+    encoded = _profile_buffer(scenario.list_profile)
     tasks = [
         ShardTask(scenario=scenario, seed=seed, user_start=start,
                   user_end=end, total_users=users, reference=False,
@@ -942,16 +923,14 @@ def run_sharded(scenario: Scenario | str, users: int, shards: int, *,
 def run_workload(scenario: Scenario | str, users: int, *, shards: int = 1,
                  seed: int = 0, executor: str = "auto",
                  trace: bool = False,
-                 transport: str = "inproc",
-                 encoded_epoch: bool = True) -> WorkloadResult:
+                 transport: str = "inproc") -> WorkloadResult:
     """Run a workload, serial for one shard, sharded otherwise."""
     if shards <= 1:
         return run_serial(scenario, users, seed=seed, trace=trace,
-                          transport=transport,
-                          encoded_epoch=encoded_epoch)
+                          transport=transport)
     return run_sharded(scenario, users, shards, seed=seed,
                        executor=executor, trace=trace,
-                       transport=transport, encoded_epoch=encoded_epoch)
+                       transport=transport)
 
 
 def replicated(scenario: Scenario | str, replicas: int, *, lag: int = 0,

@@ -2,20 +2,21 @@
 
 Four concerns, matching the format's claims:
 
-* **Fidelity** — an encoded epoch must answer every
+* **Fidelity** — an epoch loaded from its buffer must answer every
   :class:`~repro.serve.MembershipIndex` query identically to the
-  compiled index it was serialized from, reconstruct a membership
-  hash bit-identical to the stored content hash, and resolve PSL
-  suffixes exactly like the in-memory trie.
+  epoch it was compiled from (and to the naive list scan),
+  reconstruct a membership hash bit-identical to the stored content
+  hash, and resolve PSL suffixes exactly like the in-memory trie; the
+  encoder's output is pinned byte for byte.
 * **Robustness** — corrupt, truncated, or foreign buffers are
   rejected with a structured :class:`~repro.serve.EpochFormatError`
   (never a crash or a silently wrong index), and a poisoned disk
   cache file heals itself.
-* **Integration** — the service encodes once and caches
-  (:meth:`~repro.serve.RwsService.encoded_epoch`), replicas resync
-  from the primary's cached buffer instead of recompiling, and the
-  workload driver's encoded fan-out leaves run digests bit-identical
-  to compiled execution.
+* **Integration** — the service hands out the buffer its compile
+  already holds (:meth:`~repro.serve.RwsService.encoded_epoch`),
+  replicas resync from the primary's buffer instead of recompiling,
+  and a buffer-loaded service answers hostile sites through the
+  dispatcher like any other.
 * **Scale fixtures** — the seeded synthetic list generator is
   deterministic and hits its requested domain count exactly.
 """
@@ -34,6 +35,7 @@ from repro.data import (
 )
 from repro.data.synthetic import SMALL_SYNTHETIC_DOMAINS, \
     build_small_synthetic_list_v2
+from repro.api import BatchQueryRequest, BatchQueryResponse, Dispatcher
 from repro.psl import default_psl
 from repro.rws import RelatedWebsiteSet, RwsList, SiteRole
 from repro.serve import (
@@ -49,7 +51,6 @@ from repro.serve import (
     membership_hash,
 )
 from repro.serve.epochfmt import epoch_stat
-from repro.workload import run_serial, run_sharded
 
 
 def compile_epoch(rws_list: RwsList) -> Epoch:
@@ -89,7 +90,8 @@ PROBE_SITES = ["example.com", "example-news.com", "example-cdn.com",
 
 
 def assert_index_equivalent(compiled, loaded, sites) -> None:
-    """Every MembershipIndex API answers identically on both."""
+    """Every MembershipIndex API answers identically on a compiled
+    index and on the same index loaded back from its buffer."""
     assert len(loaded) == len(compiled)
     assert loaded.site_count == compiled.site_count
     assert loaded.set_count == compiled.set_count
@@ -128,8 +130,6 @@ def assert_index_equivalent(compiled, loaded, sites) -> None:
         assert left_q.set_primary == right_q.set_primary
         assert left_q.role_a == right_q.role_a
         assert left_q.role_b == right_q.role_b
-    assert [q.related for q in loaded.query_stream(pairs)] \
-        == [q.related for q in compiled.query_stream(pairs)]
     assert sorted(entry.site for entry in loaded.entries()) \
         == sorted(entry.site for entry in compiled.entries())
 
@@ -216,8 +216,47 @@ class TestRoundTrip:
             == two.index.members_of("example.com")
 
 
+class TestWireFormatGolden:
+    """The encoder's exact bytes, pinned: buffers already on disk (and
+    peers on older code) must keep loading, so an encoder rewrite has
+    to reproduce them bit for bit under the same format version."""
+
+    GOLDEN = {
+        "seed": (
+            "5f8f5548095044c11f4225434f9cbdbf"
+            "9e7d2530280f7f4bf212cb594add3dd4",
+            "cddfcd89255dd97a21825f17565e3bd8"
+            "118c0a613cd0a433978d2f25612fd99d"),
+        "synthetic": (
+            "5c97a0703f12b6692269df9f1157a822"
+            "a875cf97b6284213d64905ace4917976",
+            "6655fc52e0ac398f8e055a7ce29897d5"
+            "fe225e5fcc0dea07f4a956d93d4b2e14"),
+    }
+
+    def test_encoder_output_is_pinned(self):
+        import hashlib
+
+        from repro.serve.epochfmt import EPOCH_FORMAT_VERSION
+
+        assert EPOCH_FORMAT_VERSION == 1
+        lists = {
+            "seed": build_rws_list(),
+            "synthetic": build_synthetic_list(5000, seed=3,
+                                              mean_set_size=12),
+        }
+        for name, rws_list in lists.items():
+            epoch = compile_epoch(rws_list)
+            assert epoch.version == 1
+            digests = tuple(
+                hashlib.sha256(epoch.to_buffer(include_psl=psl)).hexdigest()
+                for psl in (False, True))
+            assert digests == self.GOLDEN[name], name
+
+
 class TestRandomizedEquivalence:
-    """Fuzzed three-way differential: buffer == compiled == naive."""
+    """Fuzzed round trip: the loaded index answers like the compiled
+    one, and like the naive list scan."""
 
     @staticmethod
     def random_list(rng: random.Random) -> RwsList:
@@ -256,8 +295,7 @@ class TestRandomizedEquivalence:
             # members are excluded: the list scan answers from the
             # queried side's set while the index is first-wins per
             # site, so the two only agree on (valid) duplicate-free
-            # pairs — the index/buffer equivalence above still covers
-            # duplicates.
+            # pairs — the round trip above still covers duplicates.
             duplicated = set(rws_list.duplicate_members())
             clean = [site for site in probe if site not in duplicated]
             sample = rng.sample(clean, min(6, len(clean)))
@@ -473,6 +511,33 @@ class TestServiceIntegration:
             service.queue.shutdown()
 
 
+    def test_unencodable_site_is_absent_on_a_buffer_loaded_service(self):
+        # A lone surrogate cannot be strict-UTF-8 encoded; a resolved
+        # batch carrying one must answer "unrelated", not INTERNAL.
+        primary, follower = RwsService(), RwsService()
+        try:
+            primary.publish(tricky_list())
+            follower.adopt_encoded(primary.encoded_epoch())
+            dispatcher = Dispatcher(follower)
+            for service in (primary, follower):
+                response = Dispatcher(service).dispatch(BatchQueryRequest(
+                    pairs=[("\udc80x.com", "example.com"),
+                           ("example.com", "\udc80x.com"),
+                           ("example.com", "shared.com")],
+                    detail=False, resolved=True))
+                assert isinstance(response, BatchQueryResponse), response
+                assert response.related == [False, False, True]
+            wire = dispatcher.dispatch_wire(
+                '{"api_version": 1, "op": "batch_query", "payload": '
+                '{"pairs": [["\\udc80x.com", "example.com"]], '
+                '"detail": false, "resolved": true}}')
+            assert "INTERNAL" not in wire
+            assert follower.index.lookup("\udc80x.com") is None
+        finally:
+            primary.queue.shutdown()
+            follower.queue.shutdown()
+
+
 class TestReplicaResync:
     def test_resync_reuses_the_primary_encoded_epoch(self):
         primary = RwsService(workers=2)
@@ -547,29 +612,3 @@ class TestSyntheticGenerator:
         assert len(loaded.index) == 2000
         assert membership_hash(loaded.snapshot.rws_list) \
             == epoch.snapshot.content_hash
-
-
-class TestWorkloadDigestIdentity:
-    """Encoded fan-out must not move any run digest."""
-
-    SCENARIOS = ["steady", "list-update", "stale-replica",
-                 "synthetic-bulk"]
-
-    def test_encoded_and_compiled_digests_match_serially(self):
-        for name in self.SCENARIOS:
-            encoded = run_serial(name, 40, seed=9)
-            compiled = run_serial(name, 40, seed=9, encoded_epoch=False)
-            assert encoded.digest == compiled.digest, name
-            assert encoded.decisions == compiled.decisions, name
-
-    def test_encoded_and_compiled_digests_match_sharded(self):
-        for name in ("steady", "synthetic-bulk"):
-            compiled = run_sharded(name, 40, 3, seed=9,
-                                   executor="inline",
-                                   encoded_epoch=False)
-            encoded = run_sharded(name, 40, 3, seed=9,
-                                  executor="inline")
-            threaded = run_sharded(name, 40, 2, seed=9,
-                                   executor="thread")
-            assert encoded.digest == compiled.digest, name
-            assert threaded.digest == compiled.digest, name

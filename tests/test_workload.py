@@ -92,6 +92,14 @@ class TestDigestInvariance:
         serial = run_serial("bulk", 80, seed=5)
         threaded = run_sharded("bulk", 80, 4, seed=5, executor="thread")
         assert threaded.digest == serial.digest
+        # Every shard adopts the driver's encoded epoch; the synthetic
+        # profile's large list must digest the same on any partition.
+        serial = run_serial("synthetic-bulk", 40, seed=9)
+        for shards, executor in ((3, "inline"), (2, "thread")):
+            sharded = run_sharded("synthetic-bulk", 40, shards, seed=9,
+                                  executor=executor)
+            assert sharded.digest == serial.digest, (shards, executor)
+            assert sharded.decisions == serial.decisions
 
     def test_digest_differs_across_seeds(self):
         assert (run_serial("steady", 40, seed=1).digest
