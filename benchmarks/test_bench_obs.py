@@ -166,7 +166,7 @@ def measure_profile_hotspots(count: int = 50_000) -> dict[str, float]:
     # answering the same batch the compiled dict-backed index does.
     snapshot = SnapshotStore().publish(rws_list)
     epoch = Epoch.compile(snapshot, default_psl())
-    loaded = Epoch.from_buffer(epoch.to_buffer(include_psl=False),
+    loaded = Epoch.from_buffer(epoch.to_buffer(),
                                psl=epoch.psl)
     batch = _bulk_pairs(rws_list)[:2000]
     assert loaded.index.related_batch(batch) \

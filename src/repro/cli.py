@@ -651,16 +651,12 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
         except KeyError as error:
             print(error.args[0], file=sys.stderr)
             return 2
-        started = time.perf_counter_ns()
-        buf = epoch.to_buffer(include_psl=not args.no_psl)
-        encode_ns = time.perf_counter_ns() - started
-        if args.no_psl:  # the buffer the compile already encoded
-            encode_ns += epoch.encode_ns
-        encode_ms = encode_ns / 1e6
+        buf = epoch.to_buffer()
         with open(args.out, "wb") as handle:
             handle.write(buf)
         print(f"encoded {args.profile if args.domains is None else args.domains} "
-              f"-> {args.out}: {len(buf)} bytes in {encode_ms:.2f} ms")
+              f"-> {args.out}: {len(buf)} bytes in "
+              f"{epoch.encode_ns / 1e6:.2f} ms")
         return 0
 
     if args.action == "warm":
@@ -676,7 +672,7 @@ def _cmd_epoch(args: argparse.Namespace) -> int:
             except KeyError as error:
                 print(error.args[0], file=sys.stderr)
                 return 2
-            path = cache.put(epoch, include_psl=not args.no_psl)
+            path = cache.put(epoch)
             print(f"warmed {profile}: {path}")
         return 0
 
@@ -972,8 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", metavar="FILE", default="epoch.rwse",
                      help="output path for encode "
                           "(default: epoch.rwse)")
-    sub.add_argument("--no-psl", action="store_true",
-                     help="omit the compiled PSL trie section")
     sub.add_argument("--cache-dir", metavar="DIR", default=None,
                      help="epoch cache directory for warm (default: "
                           "$REPRO_EPOCH_CACHE or .repro-epoch-cache)")

@@ -21,9 +21,10 @@ scans and synchronous validation; this package is the serving layer:
   (index, snapshot, PSL) unit of serving truth a publish compiles
   once and swaps atomically;
 * :mod:`repro.serve.epochfmt` — the zero-copy binary epoch format
-  every index is built on: :func:`encode_epoch` serializes an epoch,
-  :func:`load_epoch` stands it back up in O(size) (the index plus a
-  :class:`BufferSuffixTrie` PSL view), and :class:`EpochDiskCache`
+  every index is built on: :func:`encode_epoch` hands back the buffer
+  an epoch serves, :func:`load_epoch` stands it back up in O(size)
+  (the buffer carries the list only; the loaded epoch resolves hosts
+  with the caller's or the default PSL), and :class:`EpochDiskCache`
   persists encoded epochs on disk;
 * :mod:`repro.serve.service` — :class:`RwsService`, the thin stateful
   shell over the epoch model: lock-free queries (per-thread counter
@@ -34,7 +35,6 @@ scans and synchronous validation; this package is the serving layer:
 
 from repro.serve.epoch import Epoch
 from repro.serve.epochfmt import (
-    BufferSuffixTrie,
     EpochDiskCache,
     EpochFormatError,
     encode_epoch,
@@ -64,7 +64,6 @@ from repro.serve.snapshot import (
 )
 
 __all__ = [
-    "BufferSuffixTrie",
     "Epoch",
     "EpochDiskCache",
     "EpochFormatError",

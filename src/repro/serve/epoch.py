@@ -11,8 +11,8 @@ consistent (index, snapshot, version) triple for as long as it holds
 the reference, no matter how many publishes land mid-request.
 
 An epoch has one representation.  :meth:`Epoch.compile` encodes the
-snapshot into the binary epoch format (:mod:`repro.serve.epochfmt`,
-without the PSL trie) and serves the index view over that buffer;
+snapshot into the binary epoch format (:mod:`repro.serve.epochfmt`)
+and serves the index view over that buffer;
 :meth:`Epoch.to_buffer` hands the same bytes back for shipping, and
 :meth:`Epoch.from_buffer` stands a shipped buffer up as the same
 index class in O(size).
@@ -108,19 +108,16 @@ class Epoch:
         return cls(index=index, snapshot=snapshot, psl=psl,
                    encode_ns=time.perf_counter_ns() - started)
 
-    def to_buffer(self, *, include_psl: bool = True) -> bytes:
+    def to_buffer(self) -> bytes:
         """This epoch in the zero-copy binary wire format.
 
-        The buffer loads back via :meth:`from_buffer` in O(size) with
-        no per-entry object construction — see
-        :mod:`repro.serve.epochfmt` for the layout.  ``include_psl``
-        controls whether the compiled PSL trie is carried (drop it
-        when every consumer shares the same in-process PSL); without
-        it, a compiled epoch returns the buffer its index already
-        serves, with no encode.
+        Returns the buffer the index already serves, with no encode.
+        It loads back via :meth:`from_buffer` in O(size) with no
+        per-entry object construction — see
+        :mod:`repro.serve.epochfmt` for the layout.
         """
         from repro.serve.epochfmt import encode_epoch
-        return encode_epoch(self, include_psl=include_psl)
+        return encode_epoch(self)
 
     @classmethod
     def from_buffer(cls, buf, *, psl: PublicSuffixList | None = None,
@@ -128,8 +125,8 @@ class Epoch:
         """Load an epoch from an encoded buffer in O(size).
 
         The returned epoch's index is a view over ``buf`` (which must
-        outlive the epoch); ``psl`` overrides the
-        buffer-carried (or default) resolver.  ``verify=False`` skips
+        outlive the epoch); it resolves hosts with ``psl``, or with
+        the default PSL when none is given.  ``verify=False`` skips
         the CRC for trusted in-process hand-offs.
 
         Raises:

@@ -13,12 +13,11 @@ construction**, and :class:`EpochDiskCache` persists them.
 Wire layout (all integers little-endian; the loader refuses to run on
 big-endian hosts rather than silently mis-read)::
 
-    header   "<4sHHI32sIIIIIIIIII"  (84 bytes)
+    header   "<4sHHI32sIIIIIIII"  (76 bytes)
         magic=b"RWSE"  format_version  flags  snap_version
         content_hash(32 raw sha256 bytes)  list_version_id  as_of_id
-        n_strings  hash_cap  n_entries  n_sets  n_records
-        n_rules  n_nodes  total_len
-    section table  24 x (offset u32, length u32)   (192 bytes)
+        n_strings  hash_cap  n_entries  n_sets  n_records  total_len
+    section table  15 x (offset u32, length u32)   (120 bytes)
     sections  (each 4-byte aligned, zero-padded)
     crc32    u32 over everything before it
 
@@ -45,35 +44,29 @@ idx   name                contents
 12    rec_site            n_records x u32 string ids
 13    rec_role            n_records x u8 role codes
 14    rec_variant         n_records x u32 string_id+1 (0 = none)
-15    rule_flags          n_rules x u8 (kind | is_private << 2)
-16    rule_label_start    (n_rules+1) x u32 into rule_labels
-17    rule_labels         u32 string ids, TLD-first per rule
-18    node_child_start    (n_nodes+1) x u32 into the child arrays
-19    child_labels        u32 string ids, sorted per node
-20    child_nodes         u32 child node ids
-21    node_star           n_nodes x u32 node_id+1 (0 = none)
-22    node_normal         n_nodes x u32 rule_seq+1 (0 = none)
-23    node_exc            n_nodes x u32 rule_seq+1 (0 = none)
 ====  ==================  =====================================
 
-Flag bits: 0x1 = the buffer carries a compiled PSL trie; 0x2 = the
-header is stamped with a list snapshot (a bare-list index and the
-bootstrap epoch carry none).
+Flag bits: 0x2 = the header is stamped with a list snapshot (a
+bare-list index and the bootstrap epoch carry none).  Every other bit
+is reserved and rejected.
+
+The buffer carries the list only.  A loaded epoch resolves hosts with
+the caller's :class:`~repro.psl.lookup.PublicSuffixList` (or the
+process default): parsing the PSL costs a few milliseconds once per
+process, and the dict-backed trie it compiles walks three to four
+times faster than a binary-searched walk over buffer arrays.  Format version 1 also
+carried a compiled PSL trie; it is no longer accepted.
 
 Design notes:
 
-* One *unified* string table interns domains, set primaries, PSL rule
-  labels, and the list version / as-of strings, so ``related`` probes
-  and trie walks reduce to u32 comparisons.
+* One *unified* string table interns domains, set primaries and the
+  list version / as-of strings, so ``related`` probes reduce to u32
+  comparisons.
 * Records keep *every* member record per set — including cross-set
   duplicates that lose the first-wins entry race — so the
   reconstructed list reproduces :func:`~repro.serve.snapshot.membership_hash`
   bit-for-bit.  Rationales and contacts are **not** carried: they are
   deliberately outside membership identity (see ``membership_hash``).
-* Rule terminals store the rule's insertion sequence number; because
-  rules are encoded in :class:`~repro.psl.rules.RuleIndex` iteration
-  order, a single u32 identifies a rule and preserves the trie's
-  first-wins / lowest-seq tie-breaks exactly.
 """
 
 from __future__ import annotations
@@ -86,20 +79,18 @@ import zlib
 from array import array
 from itertools import accumulate
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable
 
-from repro.psl.rules import Rule, RuleKind
+from repro.psl.lookup import PublicSuffixList, default_psl
 from repro.rws.model import RelatedWebsiteSet, RwsList, SiteRole
 from repro.serve.snapshot import ListSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.psl.lookup import PublicSuffixList
     from repro.serve.epoch import Epoch
 
 __all__ = [
     "EPOCH_MAGIC",
     "EPOCH_FORMAT_VERSION",
-    "BufferSuffixTrie",
     "EpochDiskCache",
     "EpochFormatError",
     "encode_epoch",
@@ -109,9 +100,8 @@ __all__ = [
 ]
 
 EPOCH_MAGIC = b"RWSE"
-EPOCH_FORMAT_VERSION = 1
+EPOCH_FORMAT_VERSION = 2
 
-_FLAG_PSL = 0x1
 _FLAG_SNAPSHOT = 0x2
 
 #: The sections in wire order (the module docstring's table):
@@ -133,18 +123,9 @@ _SECTIONS = (
     ("rec_site", 4, "n_records", 0),
     ("rec_role", 1, "n_records", 0),
     ("rec_variant", 4, "n_records", 0),
-    ("rule_flags", 1, "n_rules", 0),
-    ("rule_label_start", 4, "n_rules", 1),
-    ("rule_labels", 4, None, 0),
-    ("node_child_start", 4, "n_nodes", 1),
-    ("child_labels", 4, None, 0),
-    ("child_nodes", 4, None, 0),
-    ("node_star", 4, "n_nodes", 0),
-    ("node_normal", 4, "n_nodes", 0),
-    ("node_exc", 4, "n_nodes", 0),
 )
 
-_HEADER = struct.Struct("<4sHHI32sIIIIIIIIII")
+_HEADER = struct.Struct("<4sHHI32sIIIIIIII")
 _SECTION_TABLE = struct.Struct("<" + "II" * len(_SECTIONS))
 _DATA_START = _HEADER.size + _SECTION_TABLE.size
 _TRAILER = struct.Struct("<I")
@@ -152,12 +133,7 @@ _TRAILER = struct.Struct("<I")
 _ROLES: tuple[SiteRole, ...] = (SiteRole.PRIMARY, SiteRole.ASSOCIATED,
                                 SiteRole.SERVICE, SiteRole.CCTLD)
 
-_RULE_KINDS: tuple[RuleKind, ...] = (RuleKind.NORMAL, RuleKind.WILDCARD,
-                                     RuleKind.EXCEPTION)
-_RULE_KIND_CODES = {kind: code for code, kind in enumerate(_RULE_KINDS)}
-
-#: Bound on the string and PSL-label memo dicts before they are
-#: dropped wholesale (the string memo never outgrows the table).
+#: Bound on the string memo before it is dropped wholesale.
 _MEMO_LIMIT = 1 << 20
 
 if array("I").itemsize != 4:  # pragma: no cover - exotic platforms only
@@ -201,66 +177,15 @@ def _utf8(text: str) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
-def _trie_sections(rules: Sequence[Rule], add) -> list:
-    """The nine PSL trie sections (15 to 23) for ``rules``.
-
-    Replays :class:`~repro.psl.rules.SuffixTrie` insertion over
-    temporary list-nodes ``[children: sid -> node, normal_seq+1,
-    exc_seq+1, star_node]``; ``add`` interns each label.
-    """
-    rule_flags = bytearray()
-    rule_label_start = array("I", [0])
-    rule_labels = array("I")
-    nodes: list[list] = [[{}, 0, 0, 0]]
-    for seq, rule in enumerate(rules):
-        rule_flags.append(_RULE_KIND_CODES[rule.kind]
-                          | (int(rule.is_private) << 2))
-        node = nodes[0]
-        for position, label in enumerate(rule.labels):
-            sid = add(label)
-            rule_labels.append(sid)
-            if label == "*" and position > 0:
-                child = node[3]
-                if child == 0:
-                    child = node[3] = len(nodes)
-                    nodes.append([{}, 0, 0, 0])
-            else:
-                child = node[0].get(sid, 0)
-                if child == 0:
-                    child = node[0][sid] = len(nodes)
-                    nodes.append([{}, 0, 0, 0])
-            node = nodes[child]
-        rule_label_start.append(len(rule_labels))
-        slot = 2 if rule.kind is RuleKind.EXCEPTION else 1
-        if node[slot] == 0:
-            node[slot] = seq + 1
-    node_child_start = array("I", [0])
-    child_labels = array("I")
-    child_nodes = array("I")
-    node_star = array("I")
-    node_normal = array("I")
-    node_exc = array("I")
-    for children, normal, exc, star in nodes:
-        for sid, child in sorted(children.items()):
-            child_labels.append(sid)
-            child_nodes.append(child)
-        node_child_start.append(len(child_labels))
-        node_normal.append(normal)
-        node_exc.append(exc)
-        node_star.append(star)
-    return [rule_flags, rule_label_start, rule_labels, node_child_start,
-            child_labels, child_nodes, node_star, node_normal, node_exc]
-
-
-def encode_list(rws_list: RwsList, *, snapshot: ListSnapshot | None = None,
-                psl: PublicSuffixList | None = None) -> bytes:
+def encode_list(rws_list: RwsList, *,
+                snapshot: ListSnapshot | None = None) -> bytes:
     """Encode a list into one epoch buffer.
 
     ``snapshot`` stamps the header with its version and content hash
-    (omit it for a bare list); ``psl`` adds that resolver's compiled
-    trie.  Encoding is O(list size) and runs once per compile: every
-    column is a u32 ``array``, the strings go into one blob, and the
-    sections are joined into the output in a single copy.
+    (omit it for a bare list).  Encoding is O(list size) and runs once
+    per compile: every column is a u32 ``array``, the strings go into
+    one blob, and the sections are joined into the output in a single
+    copy.
     """
     _require_little_endian()
     ids: dict[str, int] = {}
@@ -322,18 +247,6 @@ def encode_list(rws_list: RwsList, *, snapshot: ListSnapshot | None = None,
     list_version_id = add(rws_list.version) + 1
     as_of_id = add(rws_list.as_of) + 1 if rws_list.as_of else 0
 
-    n_rules = n_nodes = 0
-    if psl is not None:
-        psl_index = getattr(psl, "_index", None)
-        rules = list(psl_index) if psl_index is not None \
-            else list(psl._trie.rules())
-        n_rules = len(rules)
-        trie = _trie_sections(rules, add)
-        n_nodes = len(trie[6])  # node_star: one item per node
-    else:
-        trie = [b"", array("I", [0]), b"", array("I", [0]), b"", b"",
-                b"", b"", b""]
-
     # Every string is interned now; dropping the intern table before the
     # output is assembled keeps it out of the encoder's peak memory.
     ids.clear()
@@ -360,7 +273,7 @@ def encode_list(rws_list: RwsList, *, snapshot: ListSnapshot | None = None,
     sections = [str_offsets, blob, str_hash, str_entry, str_primary_set,
                 entry_site, entry_primary, entry_variant, entry_role,
                 entry_set, set_primary, set_rec_start, rec_site, rec_role,
-                rec_variant, *trie]
+                rec_variant]
     fields: list[int] = []
     parts: list = [b"", b""]  # header and section table, packed below
     offset = _DATA_START
@@ -373,16 +286,14 @@ def encode_list(rws_list: RwsList, *, snapshot: ListSnapshot | None = None,
             parts.append(bytes(pad))
         offset += size + pad
 
-    flags = (_FLAG_PSL if psl is not None else 0) \
-        | (_FLAG_SNAPSHOT if snapshot is not None else 0)
     parts[0] = _HEADER.pack(
-        EPOCH_MAGIC, EPOCH_FORMAT_VERSION, flags,
+        EPOCH_MAGIC, EPOCH_FORMAT_VERSION,
+        _FLAG_SNAPSHOT if snapshot is not None else 0,
         snapshot.version if snapshot is not None else 0,
         bytes.fromhex(snapshot.content_hash) if snapshot is not None
         else bytes(32),
         list_version_id, as_of_id, n_strings, hash_cap, len(entry_site),
-        len(set_primary), len(rec_site), n_rules, n_nodes,
-        offset + _TRAILER.size)
+        len(set_primary), len(rec_site), offset + _TRAILER.size)
     parts[1] = _SECTION_TABLE.pack(*fields)
     crc = 0
     for part in parts:
@@ -391,28 +302,16 @@ def encode_list(rws_list: RwsList, *, snapshot: ListSnapshot | None = None,
     return b"".join(parts)
 
 
-def encode_epoch(epoch: "Epoch", *, include_psl: bool = True) -> bytes:
-    """Serialize an epoch to the binary wire format.
+def encode_epoch(epoch: "Epoch") -> bytes:
+    """An epoch in the binary wire format: the buffer its index serves.
 
-    A compiled or bytes-loaded epoch already serves its PSL-free
-    buffer, so ``include_psl=False`` returns that buffer as is;
-    otherwise the epoch's list is encoded afresh, with the PSL trie
-    when ``include_psl`` (drop it when every consumer already holds
-    the same PSL, e.g. intra-process shard fan-out).
+    Every epoch is compiled into, or loaded from, one encoded buffer,
+    so this is a hand-back, not an encode (a copy when the epoch was
+    loaded from an ``mmap`` or other non-``bytes`` buffer).
     """
-    snapshot = epoch.snapshot
     data = epoch.index._data
-    if not include_psl and not data.has_psl \
-            and isinstance(data.source, bytes) \
-            and data.has_snapshot == (snapshot is not None) \
-            and data.snap_version == epoch.version:
-        return data.source
-    if snapshot is None and len(epoch.index) > 0:
-        raise ValueError("cannot encode an epoch with entries but no "
-                         "snapshot: the wire format is list-derived")
-    return encode_list(snapshot.rws_list if snapshot is not None
-                       else RwsList(), snapshot=snapshot,
-                       psl=epoch.psl if include_psl else None)
+    source = data.source
+    return source if isinstance(source, bytes) else bytes(data.buf)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +324,8 @@ class _BufferData:
     __slots__ = (
         "source", "buf", "flags", "snap_version", "content_hash_hex",
         "list_version", "as_of", "n_strings", "hash_cap", "hash_mask",
-        "n_entries", "n_sets", "n_records", "n_rules", "n_nodes",
-        "total_len", "_strings", "blob_src", "blob_base",
+        "n_entries", "n_sets", "n_records", "total_len", "_strings",
+        "blob_src", "blob_base",
         *(name for name, *_ in _SECTIONS),
     )
 
@@ -443,14 +342,16 @@ class _BufferData:
                 f"buffer too short for an epoch header: {size} bytes")
         (magic, fmt_version, flags, snap_version, content_hash,
          list_version_id, as_of_id, n_strings, hash_cap, n_entries,
-         n_sets, n_records, n_rules, n_nodes, total_len) = \
-            _HEADER.unpack_from(view, 0)
+         n_sets, n_records, total_len) = _HEADER.unpack_from(view, 0)
         if magic != EPOCH_MAGIC:
             raise EpochFormatError(f"bad magic {bytes(magic)!r}", offset=0)
         if fmt_version != EPOCH_FORMAT_VERSION:
             raise EpochFormatError(
                 f"unsupported epoch format version {fmt_version} "
                 f"(expected {EPOCH_FORMAT_VERSION})", offset=4)
+        if flags & ~_FLAG_SNAPSHOT:
+            raise EpochFormatError(f"unknown header flag bits {flags:#06x}",
+                                   offset=6)
         if total_len != size:
             raise EpochFormatError(
                 f"declared length {total_len} != buffer length {size} "
@@ -472,8 +373,6 @@ class _BufferData:
         self.n_entries = n_entries
         self.n_sets = n_sets
         self.n_records = n_records
-        self.n_rules = n_rules
-        self.n_nodes = n_nodes
         self.total_len = total_len
         if hash_cap < 8 or hash_cap & (hash_cap - 1):
             raise EpochFormatError(
@@ -522,10 +421,6 @@ class _BufferData:
         self._strings: dict[int, str] = {}
         self.list_version = self.string(list_version_id - 1)
         self.as_of = self.string(as_of_id - 1) if as_of_id else None
-
-    @property
-    def has_psl(self) -> bool:
-        return bool(self.flags & _FLAG_PSL)
 
     @property
     def has_snapshot(self) -> bool:
@@ -631,203 +526,34 @@ class _BufferRwsList(RwsList):
         self._materialized = list(value)
 
 
-class BufferSuffixTrie:
-    """Array-backed :class:`~repro.psl.rules.SuffixTrie` view.
-
-    ``resolve`` mirrors the compiled trie's walk exactly — including
-    the restart into the general multi-path resolver when an exact
-    child and a wildcard are simultaneously live, the exception-rule
-    ``depth - 1`` match length, and the implicit ``*`` fallback —
-    except that label membership checks go through the buffer's string
-    hash and a per-node binary search instead of dict lookups.
-    """
-
-    __slots__ = ("_data", "_label_ids", "_rule_objs")
-
-    def __init__(self, data: _BufferData) -> None:
-        if not data.has_psl:
-            raise EpochFormatError(
-                "buffer does not carry a PSL trie", section="rule_flags")
-        self._data = data
-        self._label_ids: dict[str, int] = {}
-        self._rule_objs: dict[int, Rule] = {}
-
-    def __len__(self) -> int:
-        return self._data.n_rules
-
-    def _label_sid(self, label: str) -> int:
-        sid = self._label_ids.get(label)
-        if sid is None:
-            sid = self._data.string_id(label)
-            if len(self._label_ids) >= _MEMO_LIMIT:
-                self._label_ids.clear()
-            self._label_ids[label] = sid
-        return sid
-
-    def _child(self, node: int, sid: int) -> int:
-        """Exact child of ``node`` for label ``sid``, 0 if absent."""
-        if sid < 0:
-            return 0
-        data = self._data
-        lo = data.node_child_start[node]
-        hi = data.node_child_start[node + 1]
-        labels = data.child_labels
-        while lo < hi:
-            mid = (lo + hi) // 2
-            value = labels[mid]
-            if value < sid:
-                lo = mid + 1
-            elif value > sid:
-                hi = mid
-            else:
-                return data.child_nodes[mid]
-        return 0
-
-    def rule(self, seq: int) -> Rule:
-        """Materialize (and memoize) rule ``seq``."""
-        rule = self._rule_objs.get(seq)
-        if rule is None:
-            data = self._data
-            start = data.rule_label_start[seq]
-            end = data.rule_label_start[seq + 1]
-            labels = tuple(data.string(data.rule_labels[i])
-                           for i in range(start, end))
-            flags = data.rule_flags[seq]
-            rule = Rule(labels=labels, kind=_RULE_KINDS[flags & 3],
-                        is_private=bool(flags >> 2 & 1))
-            self._rule_objs[seq] = rule
-        return rule
-
-    def rules(self) -> Iterator[Rule]:
-        """Yield rules in insertion (RuleIndex iteration) order."""
-        for seq in range(self._data.n_rules):
-            yield self.rule(seq)
-
-    def resolve(self, labels: Sequence[str]) -> tuple[Rule | None, int]:
-        data = self._data
-        node = 0
-        best = 0  # normal terminal seq+1
-        best_depth = 0
-        exc = 0  # exception terminal seq+1
-        exc_depth = 0
-        depth = 0
-        for label in reversed(labels):
-            sid = self._label_sid(label)
-            depth += 1
-            child = self._child(node, sid)
-            star = data.node_star[node]
-            if star == 0:
-                if child == 0:
-                    break
-                node = child
-            elif child == 0:
-                node = star
-            else:
-                # Both an exact child and a wildcard are live: fall
-                # back to the general multi-path resolver.
-                return self._resolve_general(labels)
-            terminal = data.node_normal[node]
-            if terminal:
-                # Depth strictly increases on a single path, so the
-                # deepest terminal seen always prevails.
-                best = terminal
-                best_depth = depth
-            terminal = data.node_exc[node]
-            if terminal:
-                exc = terminal
-                exc_depth = depth
-        if exc:
-            # An exception rule wins outright and matches one label
-            # fewer than it contains.
-            return self.rule(exc - 1), exc_depth - 1
-        if best:
-            return self.rule(best - 1), best_depth
-        return None, 1  # implicit "*": the bare TLD is the suffix
-
-    def _resolve_general(self,
-                         labels: Sequence[str]) -> tuple[Rule | None, int]:
-        """Multi-path descent for domains matching exact + wildcard."""
-        data = self._data
-        nodes = [0]
-        best = -1  # rule seq
-        best_depth = 0
-        best_seq = 0
-        exc = -1
-        exc_depth = 0
-        exc_seq = 0
-        depth = 0
-        for label in reversed(labels):
-            sid = self._label_sid(label)
-            depth += 1
-            matched: list[int] = []
-            for node in nodes:
-                child = self._child(node, sid)
-                if child:
-                    matched.append(child)
-                star = data.node_star[node]
-                if star:
-                    matched.append(star)
-            if not matched:
-                break
-            for node in matched:
-                terminal = data.node_normal[node]
-                if terminal:
-                    seq = terminal - 1
-                    if depth > best_depth or (depth == best_depth
-                                              and seq < best_seq):
-                        best = seq
-                        best_depth = depth
-                        best_seq = seq
-                terminal = data.node_exc[node]
-                if terminal:
-                    seq = terminal - 1
-                    if depth > exc_depth or (depth == exc_depth
-                                             and seq < exc_seq):
-                        exc = seq
-                        exc_depth = depth
-                        exc_seq = seq
-            nodes = matched
-        if exc >= 0:
-            return self.rule(exc), exc_depth - 1
-        if best >= 0:
-            return self.rule(best), best_depth
-        return None, 1
-
-
 # ---------------------------------------------------------------------------
 # Loading
 
 
-def load_epoch(buf, *, psl=None, verify: bool = True) -> "Epoch":
+def load_epoch(buf, *, psl: PublicSuffixList | None = None,
+               verify: bool = True) -> "Epoch":
     """Load an :class:`Epoch` from an encoded buffer in O(size).
 
     ``buf`` may be any 1-byte buffer object (``bytes``, ``bytearray``,
     ``mmap``, ``memoryview``); the loaded epoch keeps a read-only view
-    into it, so the underlying storage must outlive the epoch.  Pass
-    ``psl`` to reuse an existing resolver (required when the buffer
-    was encoded with ``include_psl=False`` and the process has no
-    default PSL warm yet is not a concern — the default snapshot PSL
-    is used as a fallback).  ``verify=False`` skips the CRC check for
-    hot in-process hand-offs of trusted buffers.
+    into it, so the underlying storage must outlive the epoch.  The
+    epoch resolves hosts with ``psl``, or with the process-wide
+    :func:`~repro.psl.lookup.default_psl` when none is given.
+    ``verify=False`` skips the CRC check for hot in-process hand-offs
+    of trusted buffers.
     """
     from repro.serve.epoch import Epoch
     from repro.serve.index import MembershipIndex
 
     data = _BufferData(buf, verify=verify)
     index = MembershipIndex.view(data)
-    if psl is None:
-        if data.has_psl:
-            from repro.psl.lookup import PublicSuffixList
-            psl = PublicSuffixList.from_compiled(BufferSuffixTrie(data))
-        else:
-            from repro.psl.lookup import default_psl
-            psl = default_psl()
     snapshot = None
     if data.has_snapshot:
         snapshot = ListSnapshot(version=data.snap_version,
                                 content_hash=data.content_hash_hex,
                                 rws_list=_BufferRwsList(data))
-    return Epoch(index=index, snapshot=snapshot, psl=psl)
+    return Epoch(index=index, snapshot=snapshot,
+                 psl=psl if psl is not None else default_psl())
 
 
 def epoch_stat(buf, *, verify: bool = True) -> dict:
@@ -840,14 +566,11 @@ def epoch_stat(buf, *, verify: bool = True) -> dict:
         "content_hash": data.content_hash_hex,
         "list_version": data.list_version,
         "as_of": data.as_of,
-        "has_psl": data.has_psl,
         "has_snapshot": data.has_snapshot,
         "strings": data.n_strings,
         "entries": data.n_entries,
         "sets": data.n_sets,
         "records": data.n_records,
-        "rules": data.n_rules,
-        "trie_nodes": data.n_nodes,
     }
 
 
@@ -876,13 +599,13 @@ class EpochDiskCache:
     def path_for(self, content_hash: str) -> Path:
         return self.directory / f"{content_hash}{self.SUFFIX}"
 
-    def put(self, epoch: "Epoch", *, include_psl: bool = True) -> Path:
-        """Encode and persist ``epoch``; returns the cache file path."""
+    def put(self, epoch: "Epoch") -> Path:
+        """Persist ``epoch``'s buffer; returns the cache file path."""
         if epoch.snapshot is None:
             raise ValueError("cannot cache a bootstrap epoch: it has no "
                              "content hash to key by")
-        buf = encode_epoch(epoch, include_psl=include_psl)
-        return self.put_encoded(epoch.snapshot.content_hash, buf)
+        return self.put_encoded(epoch.snapshot.content_hash,
+                                encode_epoch(epoch))
 
     def put_encoded(self, content_hash: str, buf: bytes) -> Path:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -933,8 +656,6 @@ class EpochDiskCache:
             return None
         return epoch
 
-    def warm(self, epochs: Iterable["Epoch"], *,
-             include_psl: bool = True) -> list[Path]:
+    def warm(self, epochs: Iterable["Epoch"]) -> list[Path]:
         """Persist every epoch in ``epochs``; returns the paths written."""
-        return [self.put(epoch, include_psl=include_psl)
-                for epoch in epochs]
+        return [self.put(epoch) for epoch in epochs]

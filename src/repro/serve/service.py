@@ -643,7 +643,7 @@ class RwsService(EpochShell):
     def encoded_epoch(self, version: int | None = None) -> bytes | None:
         """The binary-encoded epoch for ``version`` (default: current).
 
-        A compiled epoch already holds its PSL-free buffer, so the
+        A compiled epoch already holds its encoded buffer, so the
         current version costs no encode here; an older version still
         in the store is compiled once.  Buffers are cached per version,
         so N resyncing replicas (or N fanned-out shards) share one.
@@ -671,11 +671,9 @@ class RwsService(EpochShell):
                 except StaleSnapshotError:
                     return None
                 source = Epoch.compile(snapshot, self.psl)
-            started = time.perf_counter_ns()
-            buf = source.to_buffer(include_psl=False)
+            buf = source.to_buffer()
             self._epoch_encodes += 1
-            self._epoch_encode_ns += (source.encode_ns
-                                      + time.perf_counter_ns() - started)
+            self._epoch_encode_ns += source.encode_ns
             self._encoded[version] = buf
             while len(self._encoded) > _ENCODED_CACHE_KEEP:
                 self._encoded.pop(min(self._encoded))

@@ -6,7 +6,7 @@ Four concerns, matching the format's claims:
   :class:`~repro.serve.MembershipIndex` query identically to the
   epoch it was compiled from (and to the naive list scan),
   reconstruct a membership hash bit-identical to the stored content
-  hash, and resolve PSL suffixes exactly like the in-memory trie; the
+  hash, and resolve hosts with the caller's (or the default) PSL; the
   encoder's output is pinned byte for byte.
 * **Robustness** — corrupt, truncated, or foreign buffers are
   rejected with a structured :class:`~repro.serve.EpochFormatError`
@@ -24,6 +24,8 @@ Four concerns, matching the format's claims:
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 
 import pytest
 
@@ -36,7 +38,7 @@ from repro.data import (
 from repro.data.synthetic import SMALL_SYNTHETIC_DOMAINS, \
     build_small_synthetic_list_v2
 from repro.api import BatchQueryRequest, BatchQueryResponse, Dispatcher
-from repro.psl import default_psl
+from repro.psl import PublicSuffixList, default_psl
 from repro.rws import RelatedWebsiteSet, RwsList, SiteRole
 from repro.serve import (
     Epoch,
@@ -51,6 +53,16 @@ from repro.serve import (
     membership_hash,
 )
 from repro.serve.epochfmt import epoch_stat
+
+
+def restamp(buf: bytes, offset: int, field: bytes) -> bytes:
+    """``buf`` with ``field`` written at ``offset`` and the CRC
+    trailer recomputed, so only the structural checks can object."""
+    mangled = bytearray(buf)
+    mangled[offset:offset + len(field)] = field
+    struct.pack_into("<I", mangled, len(mangled) - 4,
+                     zlib.crc32(mangled[:-4]))
+    return bytes(mangled)
 
 
 def compile_epoch(rws_list: RwsList) -> Epoch:
@@ -163,26 +175,13 @@ class TestRoundTrip:
             assert loaded.snapshot.rws_list.version == rws_list.version
             assert loaded.snapshot.rws_list.as_of == rws_list.as_of
 
-    def test_embedded_psl_resolves_identically(self):
-        epoch = compile_epoch(tricky_list())
-        loaded = Epoch.from_buffer(epoch.to_buffer())
-        assert loaded.psl is not epoch.psl
-        for domain in ["www.example.com", "example.co.uk", "foo.ck",
-                       "www.ck", "a.b.ck", "mysite.github.io",
-                       "city.kawasaki.jp", "w.city.kawasaki.jp",
-                       "a.city.kawasaki.jp", "example.zz", "com"]:
-            assert loaded.psl._resolve_uncached(domain) \
-                == epoch.psl._resolve_uncached(domain)
-
     def test_without_psl_section_uses_caller_psl(self):
         epoch = compile_epoch(tricky_list())
-        buf = epoch.to_buffer(include_psl=False)
-        assert len(buf) < len(epoch.to_buffer())
-        assert not epoch_stat(buf)["has_psl"]
-        loaded = Epoch.from_buffer(buf, psl=epoch.psl)
-        assert loaded.psl is epoch.psl
-        # Without an explicit PSL the default snapshot is used.
-        assert Epoch.from_buffer(buf).psl.resolve("a.example.co.uk")
+        buf = epoch.to_buffer()
+        custom = PublicSuffixList("com\nuk\nco.uk")
+        assert Epoch.from_buffer(buf, psl=custom).psl is custom
+        # Without an explicit PSL the process default is used.
+        assert Epoch.from_buffer(buf).psl is default_psl()
 
     def test_bootstrap_epoch_without_entries_round_trips(self):
         empty = Epoch.bootstrap(default_psl())
@@ -200,20 +199,30 @@ class TestRoundTrip:
         assert stat["content_hash"] == epoch.snapshot.content_hash
         assert stat["list_version"] == "tricky-1"
         assert stat["as_of"] == "2024-03-26"
-        assert stat["has_psl"] and stat["has_snapshot"]
+        assert stat["has_snapshot"]
+        assert stat["format_version"] == 2
         assert stat["entries"] == len(epoch.index)
         assert stat["sets"] == 2
         assert stat["records"] >= stat["entries"]  # duplicates kept
-        assert stat["rules"] > 0 and stat["trie_nodes"] > 0
+        assert set(stat) == {
+            "bytes", "format_version", "snapshot_version", "content_hash",
+            "list_version", "as_of", "has_snapshot", "strings", "entries",
+            "sets", "records"}
 
     def test_buffer_is_plain_bytes_and_reusable(self):
-        buf = compile_epoch(tricky_list()).to_buffer()
+        epoch = compile_epoch(tricky_list())
+        buf = epoch.to_buffer()
         assert isinstance(buf, bytes)
+        assert buf is epoch.index._data.source  # handed back, no encode
+        assert encode_epoch(epoch) is buf
         # Loading twice from the same buffer is independent.
         one = Epoch.from_buffer(buf)
         two = Epoch.from_buffer(memoryview(buf))
         assert one.index.members_of("example.com") \
             == two.index.members_of("example.com")
+        # An epoch loaded from a non-bytes buffer hands back a copy.
+        assert two.to_buffer() == buf
+        assert isinstance(two.to_buffer(), bytes)
 
 
 class TestWireFormatGolden:
@@ -222,16 +231,10 @@ class TestWireFormatGolden:
     to reproduce them bit for bit under the same format version."""
 
     GOLDEN = {
-        "seed": (
-            "5f8f5548095044c11f4225434f9cbdbf"
-            "9e7d2530280f7f4bf212cb594add3dd4",
-            "cddfcd89255dd97a21825f17565e3bd8"
-            "118c0a613cd0a433978d2f25612fd99d"),
-        "synthetic": (
-            "5c97a0703f12b6692269df9f1157a822"
-            "a875cf97b6284213d64905ace4917976",
-            "6655fc52e0ac398f8e055a7ce29897d5"
-            "fe225e5fcc0dea07f4a956d93d4b2e14"),
+        "seed": "5c4b0ad8ad87fd1e1a902c4b477ee546"
+                "860b5619001e248bef656d74bb9932dd",
+        "synthetic": "b5ab7db318c7d03bc17f178f75eea1ca"
+                     "dedb058bf38d6b899d40e41b690579c1",
     }
 
     def test_encoder_output_is_pinned(self):
@@ -239,7 +242,7 @@ class TestWireFormatGolden:
 
         from repro.serve.epochfmt import EPOCH_FORMAT_VERSION
 
-        assert EPOCH_FORMAT_VERSION == 1
+        assert EPOCH_FORMAT_VERSION == 2
         lists = {
             "seed": build_rws_list(),
             "synthetic": build_synthetic_list(5000, seed=3,
@@ -248,10 +251,8 @@ class TestWireFormatGolden:
         for name, rws_list in lists.items():
             epoch = compile_epoch(rws_list)
             assert epoch.version == 1
-            digests = tuple(
-                hashlib.sha256(epoch.to_buffer(include_psl=psl)).hexdigest()
-                for psl in (False, True))
-            assert digests == self.GOLDEN[name], name
+            digest = hashlib.sha256(epoch.to_buffer()).hexdigest()
+            assert digest == self.GOLDEN[name], name
 
 
 class TestRandomizedEquivalence:
@@ -285,7 +286,7 @@ class TestRandomizedEquivalence:
             rng = random.Random(seed)
             rws_list = self.random_list(rng)
             epoch = compile_epoch(rws_list)
-            loaded = Epoch.from_buffer(epoch.to_buffer(include_psl=False),
+            loaded = Epoch.from_buffer(epoch.to_buffer(),
                                        psl=epoch.psl)
             sites = sorted({record.site for rws_set in rws_list
                             for record in rws_set.member_records()})
@@ -328,11 +329,23 @@ class TestCorruptionRejection:
         assert "magic" in str(excinfo.value)
 
     def test_unknown_format_version_rejected(self):
-        mangled = bytearray(self.buf)
-        mangled[4] = 0xFF  # format_version u16 little-endian low byte
+        # Version 1 is the retired layout that also carried a PSL trie.
+        for version in (0xFF, 1):
+            mangled = restamp(self.buf, 4, struct.pack("<H", version))
+            with pytest.raises(EpochFormatError) as excinfo:
+                load_epoch(mangled)
+            assert "version" in str(excinfo.value)
+            assert excinfo.value.offset == 4
+
+    @pytest.mark.parametrize("flags", [0x1 | 0x2, 0x8 | 0x2, 0x1, 0x8000])
+    def test_unknown_flag_bits_rejected(self, flags):
+        # CRC-valid, so only the flag check stands between the header
+        # and a load; 0x1 was the retired "carries a PSL trie" bit.
+        mangled = restamp(self.buf, 6, struct.pack("<H", flags))
         with pytest.raises(EpochFormatError) as excinfo:
-            load_epoch(bytes(mangled))
-        assert "version" in str(excinfo.value)
+            load_epoch(mangled)
+        assert "flag" in str(excinfo.value)
+        assert excinfo.value.offset == 6
 
     def test_single_byte_flips_never_crash(self):
         # Any single-byte corruption must surface as EpochFormatError
@@ -398,6 +411,12 @@ class TestDiskCache:
         path.write_bytes(bytes(raw))
         assert cache.get(epoch.snapshot.content_hash) is None
         assert not path.exists()  # healed: poisoned file removed
+        # A file left by the retired format version 1 is dropped too.
+        path = cache.put(epoch)
+        path.write_bytes(restamp(path.read_bytes(), 4,
+                                 struct.pack("<H", 1)))
+        assert cache.get(epoch.snapshot.content_hash) is None
+        assert not path.exists()
 
     def test_mismatched_content_is_removed(self, tmp_path):
         cache = EpochDiskCache(tmp_path)
@@ -607,7 +626,7 @@ class TestSyntheticGenerator:
 
     def test_synthetic_list_round_trips(self):
         epoch = compile_epoch(build_synthetic_list(2000, seed=3))
-        loaded = Epoch.from_buffer(epoch.to_buffer(include_psl=False),
+        loaded = Epoch.from_buffer(epoch.to_buffer(),
                                    psl=epoch.psl)
         assert len(loaded.index) == 2000
         assert membership_hash(loaded.snapshot.rws_list) \

@@ -125,7 +125,7 @@ class TestIndexMatchesNaiveScan:
 
         snapshot = SnapshotStore().publish(rws_list)
         epoch = Epoch.compile(snapshot, default_psl())
-        loaded = Epoch.from_buffer(epoch.to_buffer(include_psl=False),
+        loaded = Epoch.from_buffer(epoch.to_buffer(),
                                    psl=epoch.psl)
         assert membership_hash(loaded.snapshot.rws_list) \
             == snapshot.content_hash
