@@ -390,11 +390,11 @@ class Dispatcher:
     @staticmethod
     def _make_batch_handler(service: RwsService | Router) -> Handler:
         # All three service batch methods ride the bulk resolution
-        # path end to end: one _LruResolver.resolve_many cache pass
-        # whose cold keys resolve through the PSL's own batch engine
-        # (PublicSuffixList.etld_plus_one_many — lock-free probes, one
-        # write-lock promotion), so a BatchQueryRequest never loops
-        # single host resolutions at any layer.
+        # path end to end: one resolver-shim resolve_many pass whose
+        # unseen keys resolve through one
+        # PublicSuffixList.etld_plus_one_many call over the PSL's LRU,
+        # so a BatchQueryRequest never loops single host resolutions
+        # above the PSL.
         query_batch = service.query_batch
         related_batch = service.related_batch
         related_sites_batch = service.related_sites_batch

@@ -113,8 +113,8 @@ class Browser:
     def resolve_sites(self, hosts: list[str]) -> list[str | None]:
         """Batch host → site resolution through the engine's PSL.
 
-        One bulk PSL call (lock-free cache probes, a single write-lock
-        promotion for cold hosts) instead of a resolution per host;
+        One bulk PSL call (each host one probe of the PSL's LRU, one
+        trie walk when cold) instead of a resolution per host;
         unresolvable hosts — invalid names or bare public suffixes —
         come back as None, the way the engine treats them everywhere.
         """

@@ -28,10 +28,10 @@ validity check, the same-set predicate — so the resolution core is a
 * :func:`normalize_domain` front-runs the per-character validation
   loop with one precompiled-regex probe that accepts already-clean
   ASCII hosts — the overwhelming case in served traffic;
-* the memoisation cache is **generational and lock-free on the read
-  path**: hits probe two plain dicts without taking a lock, misses are
-  promoted in batches under a short write lock (see
-  :class:`PublicSuffixList`).
+* the memoisation cache is one C-level :func:`functools.lru_cache`
+  over the trie walk: exact LRU, O(1) per hit and per miss, safe
+  across threads without a Python lock, and its links are not tracked
+  by the garbage collector (see :class:`PublicSuffixList`).
 """
 
 from __future__ import annotations
@@ -184,28 +184,15 @@ class PublicSuffixList:
 
     Resolution rides a compiled engine: the parsed rules are baked into
     a :class:`~repro.psl.rules.SuffixTrie` (one dict-walk per domain),
-    and successful resolutions are memoised in a **generational
-    read-mostly cache**:
-
-    * the read path is lock-free — a hit probes two plain dict
-      snapshots (``gen1`` holds recent promotions, ``gen0`` the folded
-      bulk) and stamps the entry's recency tick with a single atomic
-      list-slot store, never touching a lock;
-    * misses resolve outside any lock, then promote into ``gen1`` under
-      a short write lock; once a batch of promotions accumulates (or
-      capacity is exceeded) ``gen1`` folds into ``gen0`` — merged in
-      place when nothing needs evicting (GIL-safe against the lock-free
-      ``get`` probes), rebuilt as a fresh snapshot when evicting
-      least-recently-used entries by tick.
-
-    Under concurrency the ``hits`` counter is a plain racy increment
-    (exact when uncontended; may undercount under heavy parallel
-    hitting), while ``misses``/``errors`` are updated under the write
-    lock.  Only successful resolutions are cached; invalid domains
-    raise every time and are tallied under ``errors`` (they never
-    inflate ``misses``, which counts resolutions that entered the
-    cache path).  Cached :class:`SuffixMatch` objects are shared —
-    treat them as immutable.
+    and successful resolutions are memoised in one
+    :func:`functools.lru_cache` of ``cache_size`` entries wrapped
+    around the walk.  The C LRU is exact, costs O(1) per hit and per
+    miss, and needs no Python lock: ``hits`` and ``misses`` are its
+    own counters.  Only successful resolutions are cached; invalid
+    domains (non-strings included) raise every time and are tallied
+    under ``errors``, never inflating ``misses``, which counts
+    resolutions that entered the cache.  Cached :class:`SuffixMatch`
+    objects are shared — treat them as immutable.
 
     Args:
         text: PSL-format rule text.  Defaults to the embedded snapshot;
@@ -228,18 +215,14 @@ class PublicSuffixList:
             raise ValueError("PSL text contains no rules")
         self._trie = self._index.compile()
         self._cache_maxsize = max(0, cache_size)
-        # Fold gen1 into gen0 every _promote_batch promotions; keep a
-        # little headroom below maxsize after an eviction pass so a
-        # full cache does not re-sort on every subsequent miss.
-        self._promote_batch = max(1, min(64, self._cache_maxsize))
-        self._keep_size = self._cache_maxsize - self._cache_maxsize // 8
-        self._gen0: dict[str, list] = {}  # folded snapshot, replaced wholesale
-        self._gen1: dict[str, list] = {}  # recent promotions
-        self._tick = 0
-        self._cache_lock = threading.Lock()
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._cache_errors = 0
+        self._cached = (
+            functools.lru_cache(maxsize=self._cache_maxsize)(self._walk)
+            if self._cache_maxsize else None)
+        # DomainErrors raised inside the LRU (each was also an LRU
+        # miss) and non-str hosts rejected before it.
+        self._error_lock = threading.Lock()
+        self._walk_errors = 0
+        self._type_errors = 0
 
     def __len__(self) -> int:
         return len(self._trie)
@@ -251,59 +234,47 @@ class PublicSuffixList:
         which are never cached; ``misses`` counts only resolutions that
         ran the engine successfully and entered the cache.
         """
-        with self._cache_lock:
-            return {
-                "hits": self._cache_hits,
-                "misses": self._cache_misses,
-                "errors": self._cache_errors,
-                "size": len(self._gen0) + len(self._gen1),
-                "maxsize": self._cache_maxsize,
-            }
+        if self._cached is None:
+            return {"hits": 0, "misses": 0, "errors": 0, "size": 0,
+                    "maxsize": 0}
+        with self._error_lock:
+            info = self._cached.cache_info()
+            walk_errors, type_errors = self._walk_errors, self._type_errors
+        return {
+            "hits": info.hits,
+            # A failing walk is an LRU miss before it is a walk error:
+            # a read or cache_clear racing it can be off by one.
+            "misses": max(0, info.misses - walk_errors),
+            "errors": walk_errors + type_errors,
+            "size": info.currsize,
+            "maxsize": self._cache_maxsize,
+        }
 
     def cache_clear(self) -> None:
         """Empty the resolution cache and reset its counters."""
-        with self._cache_lock:
-            # Fresh dicts, not .clear(): concurrent lock-free readers
-            # keep probing a consistent (old) snapshot.
-            self._gen0 = {}
-            self._gen1 = {}
-            self._cache_hits = 0
-            self._cache_misses = 0
-            self._cache_errors = 0
-
-    # -- cache internals ------------------------------------------------------
-
-    def _promote_locked(self, domain: str, match: SuffixMatch) -> None:
-        """Insert one resolved domain (caller holds the write lock)."""
-        if domain in self._gen1 or domain in self._gen0:
-            return  # another thread promoted it while we resolved
-        self._tick += 1
-        self._gen1[domain] = [match, self._tick]
-        if (len(self._gen1) >= self._promote_batch
-                or len(self._gen0) + len(self._gen1) > self._cache_maxsize):
-            self._fold_locked()
-
-    def _fold_locked(self) -> None:
-        """Fold gen1 into gen0, evicting LRU overflow.
-
-        The common (non-evicting) fold merges in place: lock-free
-        readers only ever ``dict.get`` gen0, which is safe against a
-        concurrent ``update`` under the GIL, so no copy is needed.  A
-        fresh dict is built only when evicting — keeping the newest
-        ``_keep_size`` entries by recency tick, with the headroom
-        amortising the sort across the next misses.
-        """
-        if len(self._gen0) + len(self._gen1) <= self._cache_maxsize:
-            self._gen0.update(self._gen1)
-        else:
-            merged = dict(self._gen0)
-            merged.update(self._gen1)
-            ranked = sorted(merged.items(), key=lambda kv: kv[1][1],
-                            reverse=True)
-            self._gen0 = dict(ranked[:self._keep_size])
-        self._gen1 = {}
+        if self._cached is None:
+            return
+        with self._error_lock:
+            self._cached.cache_clear()
+            self._walk_errors = 0
+            self._type_errors = 0
 
     # -- resolution -----------------------------------------------------------
+
+    def _walk(self, domain: str) -> SuffixMatch:
+        """The LRU's miss path: one trie walk, a failure counted."""
+        try:
+            return self._resolve_uncached(domain)
+        except DomainError:
+            with self._error_lock:
+                self._walk_errors += 1
+            raise
+
+    def _reject(self, domain: object) -> SuffixMatch:
+        """Count a non-str host, kept off the LRU (it may be unhashable)."""
+        with self._error_lock:
+            self._type_errors += 1
+        return self._resolve_uncached(domain)  # raises DomainError
 
     def resolve(self, domain: str) -> SuffixMatch:
         """Resolve a domain to its public suffix and registrable domain.
@@ -315,52 +286,28 @@ class PublicSuffixList:
             A :class:`SuffixMatch` describing the outcome.
 
         Raises:
-            DomainError: If the domain is syntactically invalid.
+            DomainError: If the domain is syntactically invalid (or not
+                a string).
         """
-        if self._cache_maxsize > 0 and isinstance(domain, str):
-            # Probe the folded snapshot first: gen1 drains into gen0
-            # every _promote_batch promotions, so steady-state hits
-            # land in gen0 with a single dict probe.
-            entry = self._gen0.get(domain)
-            if entry is None:
-                entry = self._gen1.get(domain)
-            if entry is not None:
-                # Lock-free hit: stamp recency with one slot store.
-                tick = self._tick + 1
-                self._tick = tick
-                entry[1] = tick
-                self._cache_hits += 1
-                return entry[0]
-            try:
-                match = self._resolve_uncached(domain)
-            except DomainError:
-                with self._cache_lock:
-                    self._cache_errors += 1
-                raise
-            with self._cache_lock:
-                self._cache_misses += 1
-                self._promote_locked(domain, match)
-            return match
-        return self._resolve_uncached(domain)
+        cached = self._cached
+        if cached is None:
+            return self._resolve_uncached(domain)
+        if isinstance(domain, str):
+            return cached(domain)
+        return self._reject(domain)
 
     def resolve_many(self, domains: Iterable[str]) -> list[SuffixMatch]:
-        """Bulk :meth:`resolve`: probe, resolve, and promote as a batch.
+        """Bulk :meth:`resolve`, value- and accounting-equivalent to the loop.
 
-        All cache probes run lock-free up front; cold domains resolve
-        through the trie outside any lock (once per distinct domain —
-        within-batch repeats are served from the first resolution, and
-        accounted as the hits they would have been sequentially); the
-        promotions and counter updates then land under **one** write
-        lock acquisition instead of one per miss.
+        Repeats within the batch are cache hits, exactly as they would
+        be sequentially.
 
         Raises:
-            DomainError: On the first syntactically invalid domain
-                (counted under ``errors``); successes resolved before
-                the error are cached and counted as misses, exactly as
-                a sequential loop would have left them.
+            DomainError: On the first invalid domain (counted under
+                ``errors``); successes resolved before it stay cached
+                and counted as misses.
         """
-        matches, _ = self._resolve_batch(list(domains), strict=True)
-        return matches
+        return list(map(self.resolve, domains))
 
     def etld_plus_one_many(self, domains: Iterable[str]) -> list[str | None]:
         """Bulk :meth:`etld_plus_one` with errors folded to ``None``.
@@ -370,90 +317,24 @@ class PublicSuffixList:
         browser engine) treats an invalid host exactly like a bare
         public suffix — no registrable domain — so this returns None
         for both instead of raising, while still counting failures
-        under ``errors``.  Value-equivalent to calling
+        under ``errors``.  Value- and accounting-equivalent to calling
         :meth:`etld_plus_one` per element with ``DomainError`` mapped
-        to None, at one write-lock acquisition per batch.
+        to None.
         """
-        matches, failed = self._resolve_batch(list(domains), strict=False)
-        if not failed:
-            return [match.registrable_domain for match in matches]
-        return [match.registrable_domain if match is not None else None
-                for match in matches]
-
-    def _resolve_batch(
-        self, domains: list[str], *, strict: bool,
-    ) -> tuple[list, bool]:
-        """Shared bulk core; returns (matches, any_failed).
-
-        In strict mode the first :class:`DomainError` propagates after
-        being counted; otherwise failures leave None in the result.
-        """
-        results: list[SuffixMatch | None] = [None] * len(domains)
-        if self._cache_maxsize <= 0:
-            failed = False
-            for i, domain in enumerate(domains):
-                if strict:
-                    results[i] = self._resolve_uncached(domain)
-                else:
-                    try:
-                        results[i] = self._resolve_uncached(domain)
-                    except DomainError:
-                        failed = True
-            return results, failed
-
-        gen1 = self._gen1
-        gen0 = self._gen0
-        pending: dict[str, list[int]] = {}
-        hits = 0
-        for i, domain in enumerate(domains):
-            entry = gen1.get(domain)
-            if entry is None:
-                entry = gen0.get(domain)
-            if entry is not None:
-                self._tick += 1
-                entry[1] = self._tick
-                hits += 1
-                results[i] = entry[0]
-            else:
-                positions = pending.get(domain)
-                if positions is None:
-                    pending[domain] = [i]
-                else:
-                    # Sequentially the repeat would have hit the cache.
-                    positions.append(i)
-                    hits += 1
-
-        misses = 0
-        errors = 0
-        failed = False
-        resolved: list[tuple[str, SuffixMatch]] = []
-        first_error: DomainError | None = None
-        for domain, positions in pending.items():
+        cached, reject = self._cached, self._reject
+        if cached is None:
+            cached = reject = self._resolve_uncached
+        sites: list[str | None] = []
+        append = sites.append
+        for domain in domains:
             try:
-                match = self._resolve_uncached(domain)
-            except DomainError as exc:
-                errors += len(positions)
-                failed = True
-                if strict:
-                    first_error = exc
-                    break
-                continue
-            misses += 1
-            for position in positions:
-                results[position] = match
-            resolved.append((domain, match))
-
-        with self._cache_lock:
-            self._cache_hits += hits
-            self._cache_misses += misses
-            self._cache_errors += errors
-            # Promote even when about to raise: every counted miss
-            # must correspond to a resolution that entered the cache.
-            for domain, match in resolved:
-                self._promote_locked(domain, match)
-        if first_error is not None:
-            raise first_error
-        return results, failed
+                match = (cached(domain) if isinstance(domain, str)
+                         else reject(domain))
+            except DomainError:
+                append(None)
+            else:
+                append(match.registrable_domain)
+        return sites
 
     def _resolve_uncached(self, domain: str) -> SuffixMatch:
         normalised = normalize_domain(domain)

@@ -20,9 +20,9 @@ The moving parts:
 * the **validation queue** accepts new-set submissions asynchronously
   (:mod:`repro.serve.queue`), modelling the GitHub governance pipeline;
 * a **counting resolver shim** fronts
-  :meth:`PublicSuffixList.etld_plus_one` — the PSL's generational
-  cache is the only value cache; the shim just keeps per-service
-  hit/miss/error accounting (see :class:`_ResolverShim`);
+  :meth:`PublicSuffixList.etld_plus_one` — the PSL's LRU is the only
+  value cache; the shim just keeps per-service hit/miss/error
+  accounting (see :class:`_ResolverShim`);
 * request and latency **counters** live in per-thread cells
   (:class:`_StatsCells`): the query hot path bumps plain attributes on
   its own thread's cell — no lock after the epoch capture — and
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 
 from repro.obs.trace import NULL_TRACER
@@ -161,30 +162,26 @@ class _StatsCells:
 class _ResolverShim:
     """Per-service resolution accounting over the PSL's own cache.
 
-    The pre-epoch service kept a second LRU of host → site values in
-    front of :class:`PublicSuffixList` — re-caching exactly what the
-    PSL's generational cache already holds, and guarding it with the
-    service lock.  The shim deletes that value cache: every
-    *successful* resolution rides
-    :meth:`PublicSuffixList.etld_plus_one` /
-    :meth:`~PublicSuffixList.etld_plus_one_many` (lock-free on warm
-    hits), and what remains per service is a bounded *seen-key* dict
-    used for hit/miss/error accounting — a key counts as a hit once
-    the service has resolved it before, mirroring the old LRU's
-    counters.  The one value the dict does keep is the failure bit:
+    The PSL's LRU is the only value cache: every *successful*
+    resolution rides :meth:`PublicSuffixList.etld_plus_one` /
+    :meth:`~PublicSuffixList.etld_plus_one_many`.  What remains per
+    service is a bounded *seen-key* dict used for hit/miss/error
+    accounting — a key counts as a hit once the service has resolved
+    it before.  The one value the dict does keep is the failure bit:
     the PSL deliberately never caches failed resolutions, so a key
     whose value is False short-circuits to None without re-walking the
-    engine — repeated junk input stays cheap, exactly the old
-    failure-caching behaviour, without duplicating any successful
-    value the PSL already holds.
+    engine, and repeated junk input stays cheap.  A host that is not a
+    string resolves to None and counts as a miss and an error; it is
+    never remembered.
 
-    ``maxsize`` bounds the seen-key dict (FIFO eviction); 0 disables
-    it entirely — every resolution counts as a miss, the cold-cache
-    convention the old resolver had.  The dict is touched without a
-    lock: under concurrent resolution a probe may misclassify hit vs
-    miss (never a wrong *value* — values come from the PSL), the
-    standard observability trade, and eviction tolerates a racing
-    insert (:meth:`_evict_one`).
+    ``maxsize`` bounds the seen-key dict, evicting the oldest key in
+    O(1) (an :class:`~collections.OrderedDict` popped from the
+    front); 0 disables it entirely — every resolution counts as a
+    miss.  The dict is touched without a lock: under concurrent
+    resolution a probe may misclassify hit vs miss (never a wrong
+    *value* — values come from the PSL), the standard observability
+    trade, and each insert evicts until the dict is back within
+    ``maxsize`` (:meth:`_remember`).
     """
 
     __slots__ = ("_psl", "_maxsize", "_seen")
@@ -196,22 +193,25 @@ class _ResolverShim:
         self._psl = psl
         self._maxsize = max(0, maxsize)
         #: key -> resolves? (False short-circuits repeat failures).
-        self._seen: dict[str, bool] = {}
+        self._seen: OrderedDict[str, bool] = OrderedDict()
 
     def _remember(self, key: str, resolves: bool) -> None:
         seen = self._seen
-        if len(seen) >= self._maxsize:
-            # Lock-free FIFO eviction: next(iter(...)) can race a
-            # concurrent insert (RuntimeError) or a concurrent evict
-            # of the last key (StopIteration); both just mean another
-            # thread is maintaining the dict — skip this eviction.
-            try:
-                seen.pop(next(iter(seen)), None)
-            except (RuntimeError, StopIteration):
-                pass
         seen[key] = resolves
+        # Insert, then evict: whichever thread inserts last also trims,
+        # so racing inserts cannot leave the dict over its bound.  An
+        # empty dict means another thread trimmed it meanwhile.
+        while len(seen) > self._maxsize:
+            try:
+                seen.popitem(last=False)
+            except KeyError:
+                break
 
     def resolve(self, host: str, stats: ServiceStats) -> str | None:
+        if not isinstance(host, str):
+            stats.resolver_misses += 1
+            stats.resolver_errors += 1
+            return None
         key = host.strip().lower()
         cached = self._seen.get(key, self._MISSING)
         if cached is not self._MISSING:
@@ -240,55 +240,59 @@ class _ResolverShim:
         have been once the first occurrence had been seen (every
         occurrence is its own miss when accounting is disabled), and a
         first-seen host resolving to no registrable domain counts one
-        error per probe counted as a miss.  Known-unresolvable keys
-        answer None without re-walking; every other distinct host
-        resolves through one
+        error per probe counted as a miss.  One C-level tally of the
+        raw hosts leaves Python work per *distinct* host only:
+        known-unresolvable keys answer None without re-walking, and
+        every other distinct host resolves through one
         :meth:`PublicSuffixList.etld_plus_one_many` call.
         """
-        sites: list[str | None] = [None] * len(hosts)
+        try:
+            counts = Counter(hosts)
+        except TypeError:
+            # An unhashable host cannot key the tally; like any
+            # non-str host it resolves to None.
+            hosts = [host if isinstance(host, str) else None
+                     for host in hosts]
+            counts = Counter(hosts)
         dedupe = self._maxsize > 0
         seen = self._seen
         missing = self._MISSING
-        #: raw host -> [positions, probes counted as miss, key, cached]
-        pending: dict[str, list] = {}
-        hits = misses = 0
-        for i, host in enumerate(hosts):
-            entry = pending.get(host)
-            if entry is None:
-                key = host.strip().lower()
-                cached = seen.get(key, missing)
-                if cached is not missing:
-                    hits += 1
-                    pending[host] = [[i], 0, key, cached]
-                else:
-                    misses += 1
-                    pending[host] = [[i], 1, key, missing]
+        site_of = dict.fromkeys(counts)
+        #: (raw host, key, probes counted as miss, remember?) per walk
+        walks = []
+        hits = misses = errors = 0
+        for host, count in counts.items():
+            if not isinstance(host, str):
+                misses += count
+                errors += count
+                continue
+            key = host.strip().lower()
+            cached = seen.get(key, missing)
+            if cached is False:
+                hits += count  # known-unresolvable: skip the PSL walk
+            elif cached is not missing:
+                hits += count
+                walks.append((host, key, 0, False))
+            elif dedupe:
+                # Repeats after the first probe would have hit.
+                misses += 1
+                hits += count - 1
+                walks.append((host, key, 1, True))
             else:
-                entry[0].append(i)
-                if dedupe:
-                    hits += 1
-                else:
-                    misses += 1
-                    entry[1] += 1
-        entries = list(pending.values())
-        # Known failures skip the walk; everything else resolves in
-        # one bulk PSL call, consumed back in entry order.
-        values = iter(self._psl.etld_plus_one_many(
-            [entry[2] for entry in entries if entry[3] is not False]))
-        errors = 0
-        for positions, miss_count, key, cached in entries:
-            value = None if cached is False else next(values)
-            for position in positions:
-                sites[position] = value
+                misses += count
+                walks.append((host, key, count, False))
+        values = self._psl.etld_plus_one_many([walk[1] for walk in walks])
+        for (host, key, miss_count, remember), value in zip(walks, values):
+            site_of[host] = value
             if value is None:
                 errors += miss_count
-            if cached is missing and dedupe:
+            if remember:
                 self._remember(key, value is not None)
         stats.resolver_hits += hits
         stats.resolver_misses += misses
         if errors:
             stats.resolver_errors += errors
-        return sites
+        return list(map(site_of.__getitem__, hosts))
 
 
 @dataclass(slots=True)

@@ -8,10 +8,9 @@ Three concerns, matching the engine's three claims:
   exception, and implicit-``*`` rules, on the full embedded snapshot
   *and* on randomised rule sets; the fast-path normaliser must accept
   and reject exactly what the reference normaliser does.
-* **Concurrency** — lock-free cached reads stay correct under
-  concurrent resolve/cache_clear, and the cache counters stay
-  consistent (misses/errors exact under the write lock, hits exact
-  when uncontended, size bounded).
+* **Concurrency** — cached reads stay correct under concurrent
+  resolve/cache_clear, and the cache counters stay consistent (exact
+  once quiescent, bounded under contention, size bounded).
 * **Bulk APIs** — ``resolve_many`` / ``etld_plus_one_many`` are value-
   and accounting-equivalent to the sequential loops they replace, at
   every layer that now batches (PSL, service resolver, browser
@@ -261,9 +260,9 @@ class TestConcurrency:
 
         assert not failures
         stats = psl.cache_stats()
-        # Counter consistency: misses/errors are lock-exact, hits may
-        # undercount under contention but never overcount, and the
-        # generational fold keeps size bounded.
+        # Counter consistency: racing cache_clear calls may drop
+        # counts but never invent them, and the LRU keeps size
+        # bounded.
         total_ops = 4 * 1500
         assert 0 <= stats["size"] <= stats["maxsize"]
         assert 0 < stats["misses"] <= total_ops

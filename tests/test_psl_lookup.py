@@ -1,7 +1,9 @@
 """Unit + property tests for public-suffix lookup."""
 
+from collections import OrderedDict
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.psl import DomainError, PublicSuffixList
 from repro.psl.lookup import normalize_domain
@@ -204,3 +206,94 @@ class TestResolutionCache:
         assert psl.etld_plus_one("act.eff.org") == "eff.org"
         assert psl.cache_stats()["size"] == 0
         assert psl.cache_stats()["maxsize"] == 0
+
+    def test_non_str_hosts_are_domain_errors_in_bulk(self):
+        psl = PublicSuffixList()
+        assert psl.etld_plus_one_many([["a"], "a.com", 42, None]) \
+            == [None, "a.com", None, None]
+        with pytest.raises(DomainError):
+            psl.resolve_many(["b.com", ["a"]])
+        stats = psl.cache_stats()
+        assert (stats["errors"], stats["misses"], stats["size"]) == (4, 2, 2)
+
+
+class _LruModel:
+    """An exact LRU with the PSL cache's accounting, over a reference."""
+
+    def __init__(self, maxsize: int, reference: PublicSuffixList):
+        self.maxsize, self.reference = maxsize, reference
+        self.entries: OrderedDict = OrderedDict()
+        self.hits = self.misses = self.errors = 0
+
+    def resolve(self, domain):
+        if isinstance(domain, str) and domain in self.entries:
+            self.entries.move_to_end(domain)
+            self.hits += 1
+            return self.entries[domain]
+        try:
+            match = self.reference.resolve(domain)
+        except DomainError:
+            self.errors += 1
+            raise
+        self.misses += 1
+        self.entries[domain] = match
+        if len(self.entries) > self.maxsize:
+            self.entries.popitem(last=False)
+        return match
+
+
+#: Few enough hosts that small caches both hit and evict; the invalid
+#: ones (bad syntax, non-strings, an unhashable list) are never cached.
+ORACLE_HOSTS = st.sampled_from([
+    "act.eff.org", "eff.org", "EFF.org.", "example.co.uk", "co.uk",
+    "foo.ck", "www.ck", "mysite.github.io", "a.b.example.zz",
+    "xn--bcher-kva.example", "bad..domain", "", "-x.com", 42, ["a"],
+])
+ORACLE_OPS = st.lists(st.tuples(
+    st.sampled_from(["resolve", "etld_plus_one", "resolve_many",
+                     "etld_plus_one_many"]),
+    st.lists(ORACLE_HOSTS, min_size=1, max_size=5),
+), max_size=40)
+
+
+class TestCacheOracle:
+    reference = PublicSuffixList(cache_size=0)
+
+    @staticmethod
+    def _model_call(model, op, hosts):
+        """What ``op`` must return (or the DomainError it must raise)."""
+        if op == "resolve":
+            return model.resolve(hosts[0])
+        if op == "etld_plus_one":
+            return model.resolve(hosts[0]).registrable_domain
+        if op == "resolve_many":
+            return [model.resolve(host) for host in hosts]
+        sites = []
+        for host in hosts:
+            try:
+                sites.append(model.resolve(host).registrable_domain)
+            except DomainError:
+                sites.append(None)
+        return sites
+
+    @settings(max_examples=150, deadline=None)
+    @given(maxsize=st.integers(min_value=1, max_value=8), ops=ORACLE_OPS)
+    def test_cache_matches_lru_model(self, maxsize, ops):
+        psl = PublicSuffixList(cache_size=maxsize)
+        model = _LruModel(maxsize, self.reference)
+        for op, hosts in ops:
+            call = getattr(psl, op)
+            arg = hosts if op.endswith("_many") else hosts[0]
+            try:
+                expected = self._model_call(model, op, hosts)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    call(arg)
+            else:
+                assert call(arg) == expected
+            stats = psl.cache_stats()
+            assert stats == {"hits": model.hits, "misses": model.misses,
+                             "errors": model.errors,
+                             "size": len(model.entries),
+                             "maxsize": maxsize}
+            assert stats["size"] <= maxsize

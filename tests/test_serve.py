@@ -5,8 +5,10 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.browser import BROWSER_POLICIES, Browser, GrantDecision
+from repro.psl import PublicSuffixList
 from repro.rws import RelatedWebsiteSet, RwsList, SiteRole, Validator
 from repro.serve import (
     Epoch,
@@ -527,6 +529,97 @@ class TestRwsService:
         assert report["index_sets"] == 2
         assert report["snapshot_version"] == 2 or report["snapshot_version"] == 1
         assert report["mean_query_ns"] > 0
+
+
+class TestResolverShim:
+    """The service's seen-key accounting: a bounded FIFO over raw keys."""
+
+    def setup_method(self):
+        self.psl = PublicSuffixList()
+        self.service = RwsService(psl=self.psl, resolver_cache_size=3)
+
+    def teardown_method(self):
+        self.service.queue.shutdown()
+
+    def _hit(self, host: str) -> bool:
+        before = self.service.stats.resolver_hits
+        self.service.resolve_host(host)
+        return self.service.stats.resolver_hits > before
+
+    def test_fifo_window_keeps_the_newest_keys(self):
+        hosts = [f"{name}.example.com" for name in "abcde"]
+        for host in hosts:
+            assert not self._hit(host)
+        # c, d, e are probed before a and b re-enter (and evict c, d).
+        hits = {host[0] for host in hosts[2:] + hosts[:2] if self._hit(host)}
+        assert hits == {"c", "d", "e"}
+
+    def test_known_bad_key_short_circuits_until_evicted(self):
+        assert self.service.resolve_host("bad..host") is None
+        walked = self.psl.cache_stats()["errors"]
+        assert self._hit("bad..host")
+        assert self.psl.cache_stats()["errors"] == walked  # not re-walked
+        for host in ("a.example.com", "b.example.com", "c.example.com"):
+            self.service.resolve_host(host)
+        assert not self._hit("bad..host")
+        assert self.psl.cache_stats()["errors"] == walked + 1
+
+    def test_non_str_hosts_are_unresolvable(self):
+        assert self.service.related_batch([("a.com", ["x"])]) == [False]
+        assert self.service.resolve_hosts([42, "a.com"]) == [None, "a.com"]
+        assert self.service.resolve_host(None) is None
+        stats = self.service.stats
+        assert stats.resolver_errors == 3
+        assert stats.resolver_misses == 4  # a.com's second probe hits
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from([0, 4096]), batches=st.lists(
+        st.lists(st.sampled_from([
+            "www.example.com", "example.com", "a.example.co.uk", "co.uk",
+            "bad..host", " Padded.example.org ", 42, None, ["x"],
+        ]), max_size=8), max_size=5))
+    def test_batch_accounting_matches_loop(self, size, batches):
+        batched = RwsService(resolver_cache_size=size, workers=1)
+        looped = RwsService(resolver_cache_size=size, workers=1)
+        try:
+            for batch in batches:
+                assert batched.resolve_hosts(batch) \
+                    == [looped.resolve_host(host) for host in batch]
+            for name in ("resolver_hits", "resolver_misses",
+                         "resolver_errors"):
+                assert getattr(batched.stats, name) \
+                    == getattr(looped.stats, name), name
+        finally:
+            batched.queue.shutdown()
+            looped.queue.shutdown()
+
+    def test_concurrent_eviction_stays_bounded(self):
+        service = RwsService(resolver_cache_size=64)
+        failures: list = []
+
+        def resolve(thread: int) -> None:
+            try:
+                hosts = [f"h{i}.t{thread}.example.com" for i in range(5000)]
+                if thread % 2:
+                    for start in range(0, len(hosts), 50):
+                        service.resolve_hosts(hosts[start:start + 50])
+                else:
+                    for host in hosts:
+                        service.resolve_host(host)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=resolve, args=(thread,))
+                   for thread in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert not failures
+            assert len(service._resolver._seen) <= 64
+        finally:
+            service.queue.shutdown()
 
 
 class TestEpoch:
