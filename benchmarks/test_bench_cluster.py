@@ -19,6 +19,12 @@ are pinned:
 * **propagation cost** — the per-publish replica catch-up (delta
   apply + index recompile per replica) stays a bounded one-off,
   benchmarked so the trajectory file tracks it.
+* **publish cost** — one publish of a 1k-site list through a lag-0
+  router over 2 replicas (primary hash + compile, one delta, and per
+  replica a squashed apply with two hash checks plus its own compile)
+  costs ≤ 9x one ``Epoch.compile`` of that list.  Three compiles are
+  the floor; the membership hash and the list diff must stay small
+  beside them.
 
 The measurement functions are plain callables (no fixtures) so the
 ``python -m benchmarks.run`` trajectory harness can reuse them.
@@ -27,10 +33,12 @@ The measurement functions are plain callables (no fixtures) so the
 from __future__ import annotations
 
 import time
+from statistics import median
 
 from repro.cluster import Router
-from repro.data import build_rws_list
-from repro.serve import RwsService
+from repro.data import build_rws_list, build_synthetic_list
+from repro.rws.model import RelatedWebsiteSet, RwsList
+from repro.serve import Epoch, RwsService
 from repro.workload import replicated, run_serial, run_sharded
 from repro.workload.scenarios import _seed_v2
 
@@ -38,6 +46,8 @@ _USERS = 2500
 _REPLICAS = 4
 _SHARDS = 4
 _SEED = 9
+#: The publish-cost gate: one routed publish vs one Epoch.compile.
+_PUBLISH_COST_BOUND = 9.0
 
 
 def _pair_workload(count: int = 600) -> list[tuple[str, str]]:
@@ -71,6 +81,56 @@ def measure_cluster_throughput(users: int = _USERS) -> dict[str, float]:
         "speedup": replicated_best / serial_best,
         "digests_identical": identical,
     }
+
+
+def _moved_variant(base: RwsList, moves: int = 4) -> RwsList:
+    """``base`` with ``moves`` associated sites moved to the next set."""
+    sets = [RelatedWebsiteSet(primary=s.primary,
+                              associated=list(s.associated),
+                              service=list(s.service),
+                              cctlds={k: list(v) for k, v in s.cctlds.items()})
+            for s in base.sets]
+    stride = max(1, (len(sets) - 1) // moves)
+    for i in range(0, stride * moves, stride):
+        if sets[i].associated:
+            sets[i + 1].associated.append(sets[i].associated.pop())
+    return RwsList(sets=sets, version=base.version + "-moved")
+
+
+def measure_publish_cost(rounds: int = 15) -> dict[str, float]:
+    """Routed publish cost over one ``Epoch.compile``, 1k-site list.
+
+    Publishes alternate between the list and its variant through a
+    lag-0 router over 2 replicas; each round times one publish and
+    one compile of the same list, interleaved so host drift hits
+    both.  Medians over the rounds.
+    """
+    lists = (build_synthetic_list(1_000, seed=21, mean_set_size=12),)
+    lists += (_moved_variant(lists[0]),)
+    primary = RwsService()
+    try:
+        router = Router(primary, replicas=2, lag=0)
+        router.publish(lists[0])
+        publish_ns: list[int] = []
+        compile_ns: list[int] = []
+        for turn in range(rounds + 2):  # two warm-up rounds
+            started = time.perf_counter_ns()
+            router.publish(lists[(turn + 1) % 2])
+            elapsed = time.perf_counter_ns() - started
+            snapshot = primary.store.latest
+            started = time.perf_counter_ns()
+            Epoch.compile(snapshot, primary.psl)
+            compiled = time.perf_counter_ns() - started
+            if turn >= 2:
+                publish_ns.append(elapsed)
+                compile_ns.append(compiled)
+        assert all(replica.version == primary.epoch.version
+                   for replica in router.replicas)
+    finally:
+        primary.queue.shutdown()
+    publish, compile_ = median(publish_ns), median(compile_ns)
+    return {"publish_ms": publish / 1e6, "compile_ms": compile_ / 1e6,
+            "ratio": publish / compile_}
 
 
 # -- acceptance gates ---------------------------------------------------------
@@ -127,6 +187,24 @@ def test_cluster_read_throughput():
     assert result["speedup"] >= 2.0, (
         f"replicated read path only {result['speedup']:.1f}x the "
         f"single service"
+    )
+
+
+def test_publish_cost_within_gate():
+    """A routed 1k-site publish costs <= 9 compiles of that list."""
+    result = measure_publish_cost()
+    for _ in range(2):
+        # Up to two retries absorb a transiently loaded host; a real
+        # regression fails all three.
+        if result["ratio"] <= _PUBLISH_COST_BOUND:
+            break
+        result = measure_publish_cost()
+    print(f"\n1k-site routed publish {result['publish_ms']:.1f} ms = "
+          f"{result['ratio']:.1f}x one compile "
+          f"({result['compile_ms']:.2f} ms)")
+    assert result["ratio"] <= _PUBLISH_COST_BOUND, (
+        f"publish costs {result['ratio']:.1f}x one compile "
+        f"(gate {_PUBLISH_COST_BOUND:.0f}x)"
     )
 
 

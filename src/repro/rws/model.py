@@ -51,6 +51,15 @@ class MemberRecord:
     variant_of: str | None = None
     rationale: str | None = None
 
+    @property
+    def key(self) -> tuple[str, str, str]:
+        """The membership identity ``(set_primary, role value, site)``.
+
+        The same key :meth:`RwsList.membership_keys` yields; list
+        diffs, deltas and the membership hash all compare by it.
+        """
+        return (self.set_primary, self.role.value, self.site)
+
 
 @dataclass
 class RelatedWebsiteSet:
@@ -171,6 +180,27 @@ class RwsList:
         for rws_set in self.sets:
             records.extend(rws_set.member_records())
         return records
+
+    def membership_keys(self) -> Iterator[tuple[str, str, str]]:
+        """Every member's :attr:`MemberRecord.key`, built from set fields.
+
+        Yields in :meth:`all_members` order, duplicates kept, without
+        constructing a :class:`MemberRecord` per member.
+        """
+        primary_role = SiteRole.PRIMARY.value
+        associated = SiteRole.ASSOCIATED.value
+        service = SiteRole.SERVICE.value
+        cctld = SiteRole.CCTLD.value
+        for rws_set in self.sets:
+            primary = rws_set.primary
+            yield (primary, primary_role, primary)
+            for site in rws_set.associated:
+                yield (primary, associated, site)
+            for site in rws_set.service:
+                yield (primary, service, site)
+            for variants in rws_set.cctlds.values():
+                for site in variants:
+                    yield (primary, cctld, site)
 
     def members_with_role(self, role: SiteRole) -> list[MemberRecord]:
         """All membership records with a given role."""

@@ -45,10 +45,15 @@ def origin_to_domain(origin: str) -> str:
     HTTPS.
 
     Raises:
-        SchemaError: For http:// origins or malformed values.
+        SchemaError: For http:// origins or malformed values, including
+            a site that cannot be UTF-8-encoded (a lone surrogate).
     """
     if not isinstance(origin, str) or not origin.strip():
         raise SchemaError(f"site entry must be a non-empty string: {origin!r}")
+    try:
+        origin.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(f"site is not valid UTF-8: {origin!r}") from None
     text = origin.strip().lower()
     if text.startswith("http://"):
         raise SchemaError(f"RWS sites must be HTTPS origins: {origin!r}")

@@ -649,6 +649,24 @@ class TestWireCodecErrors:
             assert envelope["ok"] is False
             assert envelope["error"]["code"] == "MALFORMED"
 
+    def test_dispatch_wire_rejects_unencodable_site(self, service,
+                                                    dispatcher):
+        # json.loads turns the "\\ud800" escape into a lone surrogate;
+        # the schema must refuse it before the membership hash sees it.
+        wire = json.dumps({
+            "api_version": 1, "op": "publish",
+            "payload": {"list": {"version": "1", "sets": [{
+                "primary": "https://a\ud800.com",
+                "associatedSites": ["https://b.com"]}]}},
+        })
+        reply = dispatcher.dispatch_wire(wire)
+        assert "INTERNAL" not in reply
+        envelope = json.loads(reply)
+        assert envelope["ok"] is False
+        assert envelope["error"]["code"] == "MALFORMED"
+        assert "UTF-8" in envelope["error"]["message"]
+        assert service.epoch.version == 1
+
     def test_dispatch_wire_round_trip(self, dispatcher):
         wire = encode_request(QueryRequest("www.example.com", "other.com"))
         envelope = json.loads(dispatcher.dispatch_wire(wire))

@@ -57,6 +57,12 @@ class TestOriginConversion:
         with pytest.raises(SchemaError):
             origin_to_domain(bad)
 
+    def test_rejects_site_that_is_not_utf8(self):
+        # A lone surrogate survives JSON decoding but cannot be
+        # UTF-8-encoded, so the membership hash could never digest it.
+        with pytest.raises(SchemaError, match="UTF-8"):
+            origin_to_domain("https://a\ud800.com")
+
 
 class TestParse:
     def test_canonical_document(self):
@@ -84,6 +90,14 @@ class TestParse:
     def test_rejects_malformed(self, bad):
         with pytest.raises(SchemaError):
             parse_rws_json(bad)
+
+    def test_rejects_lone_surrogate_site(self):
+        text = json.dumps({"sets": [{"primary": "https://a.com",
+                                     "associatedSites":
+                                         ["https://a\ud800.com"]}]})
+        assert "\\ud800" in text  # the escape, as a wire peer sends it
+        with pytest.raises(SchemaError, match="UTF-8"):
+            parse_rws_json(text)
 
 
 class TestSerialize:
